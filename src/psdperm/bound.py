@@ -13,22 +13,47 @@ is concave over the Hermitian positive definite cone, and its maximum
 where ``gamma`` is the Euler-Mascheroni constant.  The maximizer obeys
 ``tr X* = n + d``, which is monitored as a convergence diagnostic.
 
-The maximization runs a damped Newton method on the real coordinates of
-the Hermitian matrix space (an orthonormal basis: diagonal entries, then
-sqrt(2) * real and imaginary parts of the upper triangle).  Steps are
-kept feasible by Cholesky checks and an Armijo backtracking line search.
-Near the optimum the predicted Armijo gain can drop below the floating
-point resolution of the objective; the search then switches to accepting
-steps on a strict decrease of the gradient norm, which remains resolvable
-long after objective comparisons saturate.
+Two Newton systems compute ``Phi(A)``; the shape alone picks one.
+
+* Primal: Newton on ``-phi`` over the ``d^2`` real coordinates of ``X``
+  (an orthonormal basis: diagonal entries, then sqrt(2) * real and
+  imaginary parts of the upper triangle).  The Hessian is ``d^2 x d^2``:
+  one iteration costs ``O(n d^4)`` to assemble it and ``O(d^6)`` to
+  factor it.
+* Dual: the identity ``log q = min_{t>0} (t q - log t - 1)`` applied to
+  each row turns the maximization into the convex program
+
+      Phi(A) = min_{t > 0, M(t) < I}  -log det(I - M(t)) - sum_i log t_i - n
+
+  over ``t`` in ``R^n``, with ``M(t) = sum_i t_i v_i v_i^dagger``.  With
+  ``S = I - M(t)`` its gradient is ``v_i^dagger S^{-1} v_i - 1/t_i`` and
+  its Hessian ``|conj(V) S^{-1} V^T|^2 + diag(1/t^2)`` (entrywise
+  modulus), so one iteration costs ``O(n d^2 + n^2 d + n^3)``.  The
+  primal point of ``t`` is ``X = S^{-1}``.
+
+`solve` uses the dual when ``n < d^2``, the size of the two Newton
+systems, and the primal otherwise.  Both run through one damped Newton
+driver: Cholesky checks keep the iterates feasible (``X`` positive
+definite in the primal; ``t > 0`` and ``S`` positive definite in the
+dual), and a step is accepted by the Armijo rule with a slack of
+``16 eps max(1, |f|)``, the floating point resolution of the objective,
+so that Newton steps near the optimum whose predicted gain is below
+roundoff are still taken.  On either path convergence is judged by the
+primal gradient norm at the primal point, and the duality gap between
+the dual value at ``t`` (``t_i = 1/q_i(X)`` on the primal path) and
+``phi`` is reported.
+
+All linear algebra here is numpy's.  scipy ships its own OpenBLAS with
+its own thread pool, and alternating small calls between the two pools
+made some of them wait 15-50 ms for a worker thread on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotHermitianError, NotPositiveDefiniteError, ZeroRowError
 from .gram import GramFactor, as_complex_matrix
@@ -52,12 +77,18 @@ GAMMA = float(np.euler_gamma)
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PDPoint:
-    """Hermitian positive definite matrix with a cached Cholesky factor."""
+    """Hermitian positive definite matrix.
 
-    matrix: np.ndarray
-    chol: np.ndarray  # lower triangular, matrix = chol @ chol^H
+    Only its ``d^2`` real parameters are stored: the real parts of the
+    lower triangle, diagonal included, then the imaginary parts below
+    the diagonal.  That keeps a `BoundResult`, which carries one, at a
+    quarter of the size of a complex matrix and its Cholesky factor.
+    `matrix` and `chol` are rebuilt bit for bit on each access.
+    """
+
+    packed: np.ndarray
 
     @classmethod
     def from_matrix(cls, X, herm_tol: float = 1e-10) -> "PDPoint":
@@ -71,20 +102,43 @@ class PDPoint:
             )
         Xh = (X + X.conj().T) / 2.0
         try:
-            L = np.linalg.cholesky(Xh)
+            np.linalg.cholesky(Xh)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(str(exc)) from None
-        Xh.setflags(write=False)
-        L.setflags(write=False)
-        return cls(matrix=Xh, chol=L)
+        return cls._of_hermitian(Xh)
+
+    @classmethod
+    def _of_hermitian(cls, X: np.ndarray) -> "PDPoint":
+        """Wrap an exactly Hermitian positive definite matrix, unchecked."""
+        lower = np.tril_indices(X.shape[0])
+        strict = np.tril_indices(X.shape[0], -1)
+        packed = np.concatenate([X.real[lower], X.imag[strict]])
+        packed.setflags(write=False)
+        return cls(packed=packed)
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return math.isqrt(self.packed.size)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        d = self.d
+        lower = np.tril_indices(d)
+        strict = np.tril_indices(d, -1)
+        X = np.zeros((d, d), dtype=complex)
+        X.real[lower] = self.packed[: lower[0].size]
+        X.imag[strict] = self.packed[lower[0].size :]
+        X[strict[1], strict[0]] = X[strict].conj()
+        return X
+
+    @property
+    def chol(self) -> np.ndarray:
+        """Lower triangular ``L`` with ``matrix = L L^dagger``."""
+        return np.linalg.cholesky(self.matrix)
 
     @property
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.real(np.diag(self.chol)))))
+        return _log_det_chol(self.chol)
 
 
 @dataclass(frozen=True)
@@ -117,12 +171,15 @@ class SolverOptions:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """Outcome of the bound computation.
 
     ``log_lower = phi - gamma * n`` and ``log_upper = phi`` bracket
-    ``log per(A)`` whenever the solver converged.  `status` is one of
+    ``log per(A)`` whenever the solver converged.  `duality_gap` is the
+    dual value at the ``t`` paired with `x_star` minus `phi`; the dual
+    value is an upper bound on ``Phi(A)`` at any iterate, and the gap is
+    ``+inf`` when that ``t`` is not dual feasible.  `status` is one of
     ``converged``, ``max_iters``, ``stalled``, ``no_progress``, or
     ``zero_diagonal`` (sentinel: the permanent is exactly zero and
     ``phi = -inf``).
@@ -135,6 +192,7 @@ class BoundResult:
     trace_residual: float
     log_lower: float
     log_upper: float
+    duality_gap: float
     gamma: float
     converged: bool
     status: str
@@ -145,7 +203,7 @@ class BoundResult:
 
 def _quadratic_forms(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """q_i = v_i^dagger X v_i (real for Hermitian X)."""
-    return np.real(np.einsum("ij,jk,ik->i", V.conj(), X, V))
+    return np.real(np.einsum("ij,ij->i", V.conj(), V @ X.T))
 
 
 def _check_rows(factor: GramFactor) -> None:
@@ -167,11 +225,8 @@ def objective(factor: GramFactor, point) -> float:
     if not isinstance(point, PDPoint):
         point = PDPoint.from_matrix(point)
     _check_rows(factor)
-    q = _quadratic_forms(factor.matrix, point.matrix)
-    if np.min(q) <= 0.0:
-        return float("-inf")
-    d = point.d
-    return float(np.sum(np.log(q)) + point.log_det - np.real(np.trace(point.matrix)) + d)
+    X = point.matrix
+    return _objective_from_parts(_quadratic_forms(factor.matrix, X), X, np.linalg.cholesky(X))
 
 
 def gradient(factor: GramFactor, point) -> np.ndarray:
@@ -183,12 +238,33 @@ def gradient(factor: GramFactor, point) -> np.ndarray:
     if not isinstance(point, PDPoint):
         point = PDPoint.from_matrix(point)
     _check_rows(factor)
-    V = factor.matrix
-    d = point.d
-    q = _quadratic_forms(V, point.matrix)
-    Xinv = sla.cho_solve((np.asarray(point.chol), True), np.eye(d, dtype=complex))
-    G = (V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(d)
-    return (G + G.conj().T) / 2.0
+    X = point.matrix
+    return _gradient_parts(factor.matrix, X, np.linalg.cholesky(X))[2]
+
+
+def _log_det_chol(chol: np.ndarray) -> float:
+    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def _objective_from_parts(q, X, chol) -> float:
+    if np.min(q) <= 0.0:
+        return float("-inf")
+    return float(np.sum(np.log(q)) + _log_det_chol(chol) - np.real(np.trace(X)) + X.shape[0])
+
+
+def _gradient_parts(V, X, chol) -> tuple:
+    """``q``, ``X^{-1}`` and the Hermitian gradient of ``phi`` at ``X``."""
+    q = _quadratic_forms(V, X)
+    Xinv = _inverse_from_chol(chol)
+    G = (V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(X.shape[0])
+    return q, Xinv, (G + G.conj().T) / 2.0
+
+
+def _inverse_from_chol(chol) -> np.ndarray:
+    """``(L L^dagger)^{-1} = L^{-dagger} L^{-1}`` from its lower Cholesky factor."""
+    Linv = np.linalg.inv(chol)
+    X = Linv.conj().T @ Linv
+    return (X + X.conj().T) / 2.0
 
 
 def _herm_to_real(H: np.ndarray) -> np.ndarray:
@@ -266,20 +342,184 @@ def _try_chol(X: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _objective_from_parts(V, X, chol, d) -> float:
-    q = _quadratic_forms(V, X)
-    if np.min(q) <= 0.0:
-        return float("-inf")
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-    return float(np.sum(np.log(q)) + logdet - np.real(np.trace(X)) + d)
+def _dual_slack(V: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``S(t) = I - sum_i t_i v_i v_i^dagger``, exactly Hermitian."""
+    S = np.eye(V.shape[1]) - (V.T * t) @ V.conj()
+    return (S + S.conj().T) / 2.0
+
+
+def _dual_objective(t: np.ndarray, chol: np.ndarray) -> float:
+    """``-log det S(t) - sum log t - n`` from the Cholesky factor of ``S(t)``."""
+    return -_log_det_chol(chol) - float(np.sum(np.log(t))) - t.shape[0]
+
+
+@dataclass(frozen=True)
+class _Iterate:
+    """One accepted point of the Newton driver, seen by both problems.
+
+    `z` lives in the oracle's coordinates, and `f` and `grad` are the
+    value and gradient there of the function the oracle minimizes.  `x`,
+    `phi` and `grad_norm` describe the primal point ``X`` of `z`: the
+    primal objective there and the Frobenius norm of `gradient` there.
+    `aux` is what the oracle's Hessian reuses.
+    """
+
+    z: np.ndarray
+    f: float
+    grad: np.ndarray
+    x: np.ndarray
+    phi: float
+    grad_norm: float
+    aux: object
+
+
+class _PrimalOracle:
+    """``-phi`` over the ``d^2`` real coordinates of ``X``."""
+
+    def __init__(self, V: np.ndarray):
+        self.V = V
+        self.d = V.shape[1]
+
+    def start(self, X0: np.ndarray) -> np.ndarray:
+        return _herm_to_real(X0)
+
+    def pd_matrix(self, z):
+        return _real_to_herm(z, self.d)
+
+    def value(self, z, X, chol) -> float:
+        return -_objective_from_parts(_quadratic_forms(self.V, X), X, chol)
+
+    def iterate(self, z, X, chol, f) -> _Iterate:
+        q, Xinv, G = _gradient_parts(self.V, X, chol)
+        return _Iterate(z=z, f=f, grad=-_herm_to_real(G), x=X,
+                        phi=-f, grad_norm=float(np.linalg.norm(G)), aux=(q, Xinv))
+
+    def hessian(self, it: _Iterate) -> np.ndarray:
+        return _negative_hessian(self.V, *it.aux)
+
+    def dual_value(self, it: _Iterate) -> float:
+        t = 1.0 / it.aux[0]
+        chol = _try_chol(_dual_slack(self.V, t))
+        return float("inf") if chol is None else _dual_objective(t, chol)
+
+
+class _DualOracle:
+    """``-log det S(t) - sum log t - n`` over ``t`` in ``R^n``."""
+
+    def __init__(self, V: np.ndarray):
+        self.V = V
+
+    def start(self, X0: np.ndarray) -> np.ndarray:
+        # t_i = 1/q_i(X0), pulled inside the domain when M(t) is not below I
+        V = self.V
+        t = 1.0 / _quadratic_forms(V, X0)
+        lam = float(np.linalg.eigvalsh((V.T * t) @ V.conj())[-1])
+        return t / (2.0 * lam) if lam >= 1.0 else t
+
+    def pd_matrix(self, t):
+        return _dual_slack(self.V, t) if np.all(t > 0.0) else None
+
+    def value(self, t, S, chol) -> float:
+        return _dual_objective(t, chol)
+
+    def iterate(self, t, S, chol, f) -> _Iterate:
+        V = self.V
+        X = _inverse_from_chol(chol)  # the primal point S^{-1}
+        x_chol = np.linalg.cholesky(X)
+        q, _, G = _gradient_parts(V, X, x_chol)  # q_i = v_i^H S^{-1} v_i
+        return _Iterate(z=t, f=f, grad=q - 1.0 / t, x=X,
+                        phi=_objective_from_parts(q, X, x_chol),
+                        grad_norm=float(np.linalg.norm(G)), aux=V.conj() @ (X @ V.T))
+
+    def hessian(self, it: _Iterate) -> np.ndarray:
+        # |K|^2 entrywise, K_ij = v_i^H S^{-1} v_j, plus the -sum log t term
+        return np.abs(it.aux) ** 2 + np.diag(1.0 / it.z**2)
+
+    def dual_value(self, it: _Iterate) -> float:
+        return it.f
+
+
+def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
+    """Damped Newton minimization of the oracle's convex function from feasible `z`.
+
+    The oracle supplies ``pd_matrix(z)``, the Hermitian matrix whose
+    positive definiteness makes `z` feasible (None when `z` is outside
+    the domain for another reason), ``value(z, M, chol)`` given that
+    matrix and its Cholesky factor, ``iterate(z, M, chol, f)``, which
+    builds an `_Iterate`, ``hessian(it)`` and ``dual_value(it)``.
+
+    Returns ``(best, iterations, status, history)``: `best` is the
+    iterate with the largest primal objective, replaced by any later one
+    that has converged, and `history` the running best primal objective
+    after each iteration.
+    """
+    M = oracle.pd_matrix(z)
+    chol = _try_chol(M)
+    it = best = oracle.iterate(z, M, chol, oracle.value(z, M, chol))
+    history = [best.phi]
+    values = [it.f]
+    iterations = 0
+    status = "max_iters"
+
+    while it.grad_norm > opts.grad_tol and iterations < opts.max_iters:
+        # Newton direction; fall back to steepest descent if the Hessian
+        # is singular or the direction does not descend.
+        g = it.grad
+        try:
+            delta = -np.linalg.solve(oracle.hessian(it), g)
+        except np.linalg.LinAlgError:
+            delta = None
+        if delta is None or not np.all(np.isfinite(delta)) or float(g @ delta) >= 0.0:
+            delta = -g
+        slope = float(g @ delta)
+        # Armijo, with the objective's rounding resolution as slack so that
+        # steps whose predicted gain is below roundoff are still taken.
+        slack = 16.0 * _EPS * max(1.0, abs(it.f))
+
+        step = 1.0
+        accepted = None
+        for _ in range(opts.max_backtracks):
+            zt = it.z + step * delta
+            Mt = oracle.pd_matrix(zt)
+            cholt = None if Mt is None else _try_chol(Mt)
+            if cholt is not None:
+                ft = oracle.value(zt, Mt, cholt)
+                if ft <= it.f + opts.armijo_c * step * slope + slack:
+                    accepted = oracle.iterate(zt, Mt, cholt, ft)
+                    break
+            step *= opts.backtrack_factor
+        iterations += 1
+
+        if accepted is None:
+            status = "no_progress"
+            break
+        it = accepted
+        if it.phi >= best.phi or it.grad_norm <= opts.grad_tol:
+            best = it
+        history.append(best.phi)
+        values.append(it.f)
+
+        if (
+            len(values) > opts.stall_window
+            and values[-1 - opts.stall_window] - values[-1] < opts.stall_tol
+            and it.grad_norm > opts.grad_tol
+        ):
+            status = "stalled"
+            break
+
+    if best.grad_norm <= opts.grad_tol:
+        status = "converged"
+    return best, iterations, status, history
 
 
 def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResult:
     """Maximize the concave objective over the positive definite cone.
 
-    Returns a `BoundResult` with the certified interval endpoints in
-    log domain.  On non-convergence the best iterate found is still
-    returned, with ``converged=False`` and a diagnostic `status`.
+    Runs Newton on the dual when ``n < d^2`` and on the primal otherwise
+    (see the module docstring).  Returns a `BoundResult` with the
+    certified interval endpoints in log domain.  On non-convergence the
+    best iterate found is still returned, with ``converged=False`` and a
+    diagnostic `status`.
 
     Raises
     ------
@@ -293,108 +533,25 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     n, d = V.shape
 
     if opts.init_scale == "trace_normalized":
-        X = ((n + d) / d) * np.eye(d, dtype=complex)
+        X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     elif opts.init_scale == "identity":
-        X = np.eye(d, dtype=complex)
+        X0 = np.eye(d, dtype=complex)
     else:
         raise ValueError(f"unknown init_scale: {opts.init_scale!r}")
 
-    chol = np.linalg.cholesky(X)
-    f = _objective_from_parts(V, X, chol, d)
-    history = [f]
+    oracle = _DualOracle(V) if n < d * d else _PrimalOracle(V)
+    best, iterations, status, history = _newton(oracle, oracle.start(X0), opts)
 
-    def grad_state(X, chol):
-        q = _quadratic_forms(V, X)
-        Xinv = sla.cho_solve((chol, True), np.eye(d, dtype=complex))
-        G = (V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(d)
-        G = (G + G.conj().T) / 2.0
-        g = _herm_to_real(G)
-        return q, Xinv, g, float(np.linalg.norm(g))
-
-    q, Xinv, g, gnorm = grad_state(X, chol)
-    iterations = 0
-    status = "max_iters"
-
-    while iterations < opts.max_iters:
-        if gnorm <= opts.grad_tol:
-            status = "converged"
-            break
-
-        # Newton direction from the negative Hessian; fall back to the
-        # gradient if the factorization fails or the direction is not
-        # an ascent direction.
-        delta = None
-        H = _negative_hessian(V, q, Xinv)
-        try:
-            cf = sla.cho_factor(H)
-            delta = sla.cho_solve(cf, g)
-        except (np.linalg.LinAlgError, ValueError):
-            delta = None
-        if delta is None or not np.all(np.isfinite(delta)) or float(g @ delta) <= 0.0:
-            delta = g
-        dd = float(g @ delta)
-
-        # When the predicted Armijo gain is below the resolution of the
-        # objective, accept on a strict gradient-norm decrease instead.
-        tail = opts.armijo_c * dd <= 16.0 * _EPS * max(1.0, abs(f))
-        floor = f - 16.0 * _EPS * max(1.0, abs(f))
-
-        D = _real_to_herm(delta, d)
-        t = 1.0
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            Xt = X + t * D
-            Xt = (Xt + Xt.conj().T) / 2.0
-            cholt = _try_chol(Xt)
-            if cholt is not None:
-                ft = _objective_from_parts(V, Xt, cholt, d)
-                if np.isfinite(ft):
-                    if not tail:
-                        if ft >= f + opts.armijo_c * t * dd:
-                            accepted = True
-                    else:
-                        qt, Xinvt, gt, gnt = grad_state(Xt, cholt)
-                        if gnt < gnorm and ft >= floor:
-                            accepted = True
-                            q, Xinv, g, gnorm = qt, Xinvt, gt, gnt
-                    if accepted:
-                        X, chol, f = Xt, cholt, ft
-                        break
-            t *= opts.backtrack_factor
-        iterations += 1
-
-        if not accepted:
-            status = "no_progress"
-            break
-        if not tail:
-            q, Xinv, g, gnorm = grad_state(X, chol)
-        history.append(f)
-
-        if (
-            len(history) > opts.stall_window
-            and history[-1] - history[-1 - opts.stall_window] < opts.stall_tol
-            and gnorm > opts.grad_tol
-        ):
-            status = "stalled"
-            break
-    else:
-        status = "max_iters"
-
-    if gnorm <= opts.grad_tol:
-        status = "converged"
-
-    X.setflags(write=False)
-    chol.setflags(write=False)
-    point = PDPoint(matrix=X, chol=chol)
-    trace_residual = abs(float(np.real(np.trace(X))) - (n + d))
+    X, phi = best.x, best.phi
     return BoundResult(
-        phi=f,
-        x_star=point,
+        phi=phi,
+        x_star=PDPoint._of_hermitian(X),
         iterations=iterations,
-        grad_norm=gnorm,
-        trace_residual=trace_residual,
-        log_lower=f - GAMMA * n,
-        log_upper=f,
+        grad_norm=best.grad_norm,
+        trace_residual=abs(float(np.real(np.trace(X))) - (n + d)),
+        log_lower=phi - GAMMA * n,
+        log_upper=phi,
+        duality_gap=oracle.dual_value(best) - phi,
         gamma=GAMMA,
         converged=(status == "converged"),
         status=status,
@@ -447,6 +604,7 @@ def bound_permanent(matrix, tolerances=None, options: SolverOptions | None = Non
             trace_residual=0.0,
             log_lower=neg_inf,
             log_upper=neg_inf,
+            duality_gap=0.0,
             gamma=GAMMA,
             converged=True,
             status="zero_diagonal",

@@ -50,6 +50,7 @@ class CertReport:
     phi: float | None = None
     log_lower: float | None = None
     log_upper: float | None = None
+    duality_gap: float | None = None
     gamma: float | None = None
     log_q: float | None = None
     permanent_is_zero: bool = False
@@ -132,6 +133,7 @@ def cmd_bound(args) -> int:
         report.phi = float("-inf")
         report.log_lower = float("-inf")
         report.log_upper = float("-inf")
+        report.duality_gap = 0.0
         report.converged = True
         report.status = "zero_diagonal"
         _emit(report, args.out)
@@ -153,6 +155,7 @@ def cmd_bound(args) -> int:
     report.phi = res.phi
     report.log_lower = lo
     report.log_upper = hi
+    report.duality_gap = res.duality_gap
     report.iterations = res.iterations
     report.grad_norm = res.grad_norm
     report.trace_residual = res.trace_residual
@@ -194,6 +197,7 @@ def cmd_certify(args) -> int:
         report.log_upper = float("-inf")
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
+        report.duality_gap = 0.0
         report.converged = True
         report.status = "zero_diagonal"
         report.sandwich_ok = True
@@ -222,6 +226,7 @@ def cmd_certify(args) -> int:
     report.phi = res.phi
     report.log_lower = lo
     report.log_upper = hi
+    report.duality_gap = res.duality_gap
     report.log_per_exact = exact.log_abs
     report.exact_method = exact.method
     report.sandwich_ok = bool(ok)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from psdperm import bound
 from psdperm import (
     GAMMA,
     GramFactor,
@@ -57,6 +58,16 @@ def test_objective_accepts_pdpoint():
     factor = random_factor(5, 3, seed=0)
     X = random_pd(3, seed=1)
     assert objective(factor, X) == objective(factor, PDPoint.from_matrix(X))
+
+
+def test_pdpoint_rebuilds_matrix_and_factor_exactly():
+    X = random_pd(4, seed=2)
+    point = PDPoint.from_matrix(X)
+    Xh = (X + X.conj().T) / 2.0
+    assert point.d == 4
+    assert point.matrix.tobytes() == Xh.tobytes()
+    assert point.chol.tobytes() == np.linalg.cholesky(Xh).tobytes()
+    assert point.packed.size == 16
 
 
 def test_objective_underflow_sentinel():
@@ -179,6 +190,65 @@ def test_solve_iteration_budget():
     assert full.phi >= res.phi - 1e-12
 
 
+def _run_oracle(oracle_cls, factor):
+    V = factor.matrix
+    n, d = V.shape
+    oracle = oracle_cls(V)
+    X0 = ((n + d) / d) * np.eye(d, dtype=complex)
+    return bound._newton(oracle, oracle.start(X0), SolverOptions())
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (8, 3), (9, 3), (12, 3), (15, 4), (16, 4), (30, 4)])
+def test_primal_and_dual_oracles_agree(n, d):
+    # both sides of n = d^2, through the one driver, on the same factor
+    factor = random_factor(n, d, seed=n + d)
+    phis = {}
+    for oracle_cls in (bound._PrimalOracle, bound._DualOracle):
+        best, _, status, _ = _run_oracle(oracle_cls, factor)
+        assert status == "converged" and best.grad_norm <= 1e-9
+        phis[oracle_cls] = best.phi
+    assert abs(phis[bound._PrimalOracle] - phis[bound._DualOracle]) <= 1e-10
+    # solve picks the dual exactly when n < d^2, and reports the norm of
+    # the public gradient at x_star
+    res = solve(factor)
+    chosen = bound._DualOracle if n < d * d else bound._PrimalOracle
+    assert res.phi == phis[chosen]
+    assert float(np.linalg.norm(gradient(factor, res.x_star))) == res.grad_norm
+
+
+def test_bound_permanent_identity_beyond_primal_reach():
+    # n = d = 64: the primal Hessian would have 4096^2 entries
+    res = bound_permanent(gen_instance(64, 64, ensemble="identity").matrix)
+    assert res.converged
+    assert res.phi == pytest.approx(64 * (2 * math.log(2) - 1), abs=1e-8)
+    assert res.trace_residual <= 1e-6
+
+
+GAP_SHAPES = [(16, 8, 5), (9, 5, 1), (7, 3, 2), (12, 3, 0), (30, 5, 2), (40, 6, 0), (100, 8, 1)]
+
+
+@pytest.mark.parametrize("n, d, seed", GAP_SHAPES)
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 500])
+def test_duality_gap_bounds(n, d, seed, max_iters):
+    res = solve(random_factor(n, d, seed=seed), SolverOptions(max_iters=max_iters))
+    assert res.duality_gap >= -1e-12
+    if res.converged:
+        assert res.duality_gap <= 1e-9
+    if n < d * d:
+        # the dual iterate is always dual feasible
+        assert np.isfinite(res.duality_gap)
+
+
+@pytest.mark.parametrize("n, d, seed", GAP_SHAPES)
+def test_dual_value_bounds_phi_after_early_stop(n, d, seed):
+    factor = random_factor(n, d, seed=seed)
+    full = solve(factor)
+    for max_iters in (1, 2, 3, 5):
+        res = solve(factor, SolverOptions(max_iters=max_iters))
+        if np.isfinite(res.duality_gap):
+            assert res.phi + res.duality_gap >= full.phi - 1e-12
+
+
 def test_solve_rejects_unknown_init():
     with pytest.raises(ValueError):
         solve(random_factor(4, 2, seed=0), SolverOptions(init_scale="zeros"))
@@ -287,3 +357,4 @@ def test_bound_permanent_zero_diagonal_sentinel():
     assert res.log_upper == float("-inf")
     assert res.x_star is None
     assert res.iterations == 0
+    assert res.duality_gap == 0.0

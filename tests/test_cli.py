@@ -208,6 +208,19 @@ def test_repeat_runs_identical(capsys, tmp_path):
         assert rep1[key] == rep2[key], key
 
 
+def test_reports_duality_gap(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "g.json", "--n", "12", "--d", "3", "--seed", "0")
+    for verb in ("bound", "certify"):
+        code, rep = run(capsys, verb, path)
+        assert code == EXIT_OK
+        assert -1e-12 <= rep["duality_gap"] <= 1e-9
+    # one primal step leaves t = 1/q outside the dual domain: the gap is
+    # +inf, reported as null
+    code, rep = run(capsys, "bound", path, "--max-iters", "1")
+    assert code == EXIT_OK
+    assert rep["duality_gap"] is None
+
+
 def test_solver_flags_are_respected(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "f.json", "--n", "9", "--d", "5", "--seed", "2")
     code, rep = run(capsys, "bound", path, "--max-iters", "1", "--grad-tol", "1e-15")
