@@ -23,11 +23,10 @@ from .bound import (
     PDPoint,
     SolverOptions,
     bound_permanent,
-    bound_with_epsilon,
-    certified_interval,
     gradient,
     objective,
     solve,
+    zero_diagonal_result,
 )
 from .errors import (
     BadRankError,
@@ -98,8 +97,7 @@ __all__ = [
     "objective",
     "gradient",
     "solve",
-    "certified_interval",
-    "bound_with_epsilon",
+    "zero_diagonal_result",
     "bound_permanent",
     # exact
     "NAIVE_LIMIT",

@@ -39,9 +39,10 @@ dual), and a step is accepted by the Armijo rule with a slack of
 ``16 eps max(1, |f|)``, the floating point resolution of the objective,
 so that Newton steps near the optimum whose predicted gain is below
 roundoff are still taken.  On either path convergence is judged by the
-primal gradient norm at the primal point, and the duality gap between
-the dual value at ``t`` (``t_i = 1/q_i(X)`` on the primal path) and
-``phi`` is reported.
+primal gradient norm at the primal point.  The reported upper endpoint
+is the dual value at ``t`` (``t_i = 1/q_i(X)`` on the primal path),
+which bounds ``Phi(A)`` from above at any iterate, and the lower one is
+``phi(X) - gamma * n``, so the bracket holds even after an early stop.
 
 All linear algebra here is numpy's.  scipy ships its own OpenBLAS with
 its own thread pool, and alternating small calls between the two pools
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPositiveDefiniteError, ZeroRowError
-from .gram import GramFactor, as_complex_matrix
+from .errors import NotPositiveDefiniteError, ZeroRowError
+from .gram import GramFactor, HermitianPSD, gram_factor, hermitian_part, validate_hermitian_psd
 
 __all__ = [
     "GAMMA",
@@ -66,8 +67,7 @@ __all__ = [
     "objective",
     "gradient",
     "solve",
-    "certified_interval",
-    "bound_with_epsilon",
+    "zero_diagonal_result",
     "bound_permanent",
 ]
 
@@ -93,14 +93,7 @@ class PDPoint:
     @classmethod
     def from_matrix(cls, X, herm_tol: float = 1e-10) -> "PDPoint":
         """Validate and wrap a matrix, raising if it is not Hermitian PD."""
-        X = as_complex_matrix(X)
-        scale = float(np.max(np.abs(X)))
-        defect = float(np.max(np.abs(X - X.conj().T)))
-        if defect > herm_tol * max(1.0, scale):
-            raise NotHermitianError(
-                f"Hermitian defect {defect:.3e} exceeds {herm_tol:.1e}"
-            )
-        Xh = (X + X.conj().T) / 2.0
+        Xh = hermitian_part(X, herm_tol)
         try:
             np.linalg.cholesky(Xh)
         except np.linalg.LinAlgError as exc:
@@ -175,14 +168,15 @@ class SolverOptions:
 class BoundResult:
     """Outcome of the bound computation.
 
-    ``log_lower = phi - gamma * n`` and ``log_upper = phi`` bracket
-    ``log per(A)`` whenever the solver converged.  `duality_gap` is the
-    dual value at the ``t`` paired with `x_star` minus `phi`; the dual
-    value is an upper bound on ``Phi(A)`` at any iterate, and the gap is
-    ``+inf`` when that ``t`` is not dual feasible.  `status` is one of
+    ``log_lower = phi - gamma * n`` and ``log_upper``, the dual value at
+    the ``t`` paired with `x_star`, bracket ``log per(A)`` at any
+    iterate, converged or not: ``phi <= Phi(A) <= log_upper`` up to
+    roundoff.
+    ``log_upper`` is ``+inf`` when that ``t`` is not dual feasible, and
+    ``duality_gap = log_upper - phi``.  `status` is one of
     ``converged``, ``max_iters``, ``stalled``, ``no_progress``, or
-    ``zero_diagonal`` (sentinel: the permanent is exactly zero and
-    ``phi = -inf``).
+    ``zero_diagonal`` (the `zero_diagonal_result` sentinel: the
+    permanent is exactly zero and ``phi = -inf``).
     """
 
     phi: float
@@ -267,21 +261,8 @@ def _inverse_from_chol(chol) -> np.ndarray:
     return (X + X.conj().T) / 2.0
 
 
-def _herm_to_real(H: np.ndarray) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the orthonormal real basis."""
-    d = H.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    return np.concatenate(
-        [
-            np.real(np.diag(H)),
-            np.sqrt(2.0) * np.real(H[iu, ju]),
-            np.sqrt(2.0) * np.imag(H[iu, ju]),
-        ]
-    )
-
-
 def _herm_to_real_batch(Hs: np.ndarray) -> np.ndarray:
-    """Vectorized `_herm_to_real` over a stack of shape (m, d, d)."""
+    """Real coordinates of each Hermitian matrix in a stack of shape (m, d, d)."""
     d = Hs.shape[1]
     idx = np.arange(d)
     iu, ju = np.triu_indices(d, k=1)
@@ -296,7 +277,7 @@ def _herm_to_real_batch(Hs: np.ndarray) -> np.ndarray:
 
 
 def _real_to_herm(h: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of `_herm_to_real`."""
+    """Inverse of `_herm_to_real_batch` for one matrix."""
     iu, ju = np.triu_indices(d, k=1)
     H = np.zeros((d, d), dtype=complex)
     H[np.arange(d), np.arange(d)] = h[:d]
@@ -381,7 +362,7 @@ class _PrimalOracle:
         self.d = V.shape[1]
 
     def start(self, X0: np.ndarray) -> np.ndarray:
-        return _herm_to_real(X0)
+        return _herm_to_real_batch(X0[None])[0]
 
     def pd_matrix(self, z):
         return _real_to_herm(z, self.d)
@@ -391,7 +372,7 @@ class _PrimalOracle:
 
     def iterate(self, z, X, chol, f) -> _Iterate:
         q, Xinv, G = _gradient_parts(self.V, X, chol)
-        return _Iterate(z=z, f=f, grad=-_herm_to_real(G), x=X,
+        return _Iterate(z=z, f=f, grad=-_herm_to_real_batch(G[None])[0], x=X,
                         phi=-f, grad_norm=float(np.linalg.norm(G)), aux=(q, Xinv))
 
     def hessian(self, it: _Iterate) -> np.ndarray:
@@ -519,7 +500,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     (see the module docstring).  Returns a `BoundResult` with the
     certified interval endpoints in log domain.  On non-convergence the
     best iterate found is still returned, with ``converged=False`` and a
-    diagnostic `status`.
+    diagnostic `status`; its endpoints are still bounds, and `log_upper`
+    is ``+inf`` when the iterate gives no feasible dual point.
 
     Raises
     ------
@@ -543,6 +525,7 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     best, iterations, status, history = _newton(oracle, oracle.start(X0), opts)
 
     X, phi = best.x, best.phi
+    log_upper = oracle.dual_value(best)
     return BoundResult(
         phi=phi,
         x_star=PDPoint._of_hermitian(X),
@@ -550,8 +533,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
         grad_norm=best.grad_norm,
         trace_residual=abs(float(np.real(np.trace(X))) - (n + d)),
         log_lower=phi - GAMMA * n,
-        log_upper=phi,
-        duality_gap=oracle.dual_value(best) - phi,
+        log_upper=log_upper,
+        duality_gap=log_upper - phi,
         gamma=GAMMA,
         converged=(status == "converged"),
         status=status,
@@ -561,56 +544,40 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     )
 
 
-def certified_interval(phi: float, n: int) -> tuple:
-    """Two-sided bracket ``(phi - gamma*n, phi)`` for ``log per(A)``."""
-    if np.isnan(phi):
-        raise ValueError("phi must not be NaN")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (phi - GAMMA * n, phi)
+def zero_diagonal_result(psd: HermitianPSD) -> BoundResult:
+    """The sentinel result for a matrix with a zero diagonal entry.
 
-
-def bound_with_epsilon(phi_tilde: float, n: int, eps: float) -> float:
-    """Inflate an eps-approximate maximum into a true upper bound.
-
-    If ``phi_tilde >= Phi(A) - eps * n / 2`` then
-    ``phi_tilde + eps * n / 2 >= Phi(A)``, so the returned value is a
-    valid log upper bound regardless of which side ``phi_tilde`` errs on.
+    Such an entry forces ``per(A) = 0``, so the bracket collapses to
+    ``phi = log_lower = log_upper = -inf`` with ``duality_gap = 0``,
+    status ``zero_diagonal`` and no optimization run.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return phi_tilde + 0.5 * eps * n
+    neg_inf = float("-inf")
+    return BoundResult(
+        phi=neg_inf,
+        x_star=None,
+        iterations=0,
+        grad_norm=0.0,
+        trace_residual=0.0,
+        log_lower=neg_inf,
+        log_upper=neg_inf,
+        duality_gap=0.0,
+        gamma=GAMMA,
+        converged=True,
+        status="zero_diagonal",
+        objective_history=np.asarray([]),
+        n=psd.n,
+        d=psd.rank,
+    )
 
 
 def bound_permanent(matrix, tolerances=None, options: SolverOptions | None = None) -> BoundResult:
     """Validate, factor, and bound in one call.
 
-    A zero diagonal entry forces ``per(A) = 0``; in that case a sentinel
-    result with ``phi = -inf`` (status ``zero_diagonal``) is returned
-    and no optimization runs.
+    A zero diagonal entry forces ``per(A) = 0``; in that case the
+    `zero_diagonal_result` sentinel is returned and no optimization runs.
     """
-    from .gram import gram_factor, validate_hermitian_psd
-
     psd = validate_hermitian_psd(matrix, tolerances)
     if psd.zero_diagonal_indices:
-        neg_inf = float("-inf")
-        return BoundResult(
-            phi=neg_inf,
-            x_star=None,
-            iterations=0,
-            grad_norm=0.0,
-            trace_residual=0.0,
-            log_lower=neg_inf,
-            log_upper=neg_inf,
-            duality_gap=0.0,
-            gamma=GAMMA,
-            converged=True,
-            status="zero_diagonal",
-            objective_history=np.asarray([]),
-            n=psd.n,
-            d=psd.rank,
-        )
+        return zero_diagonal_result(psd)
     factor = gram_factor(psd)
     return solve(factor, options)

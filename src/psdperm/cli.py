@@ -17,13 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .bound import (
-    GAMMA,
-    SolverOptions,
-    bound_with_epsilon,
-    certified_interval,
-    solve,
-)
+from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
 from .gram import Tolerances, gram_factor, validate_hermitian_psd
@@ -52,7 +46,6 @@ class CertReport:
     log_upper: float | None = None
     duality_gap: float | None = None
     gamma: float | None = None
-    log_q: float | None = None
     permanent_is_zero: bool = False
     log_per_exact: float | None = None
     exact_method: str | None = None
@@ -79,8 +72,16 @@ class CertReport:
         return {k: clean(v) for k, v in asdict(self).items()}
 
 
-def _emit(report: CertReport, out: str | None) -> None:
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
+#: `BoundResult` fields that a report copies unchanged
+BOUND_FIELDS = ("d", "phi", "log_lower", "log_upper", "duality_gap", "iterations",
+                "grad_norm", "trace_residual", "converged", "status")
+
+#: arguments recorded in a report's `config`, those the verb has
+CONFIG_KEYS = ("input", "rank_tol", "grad_tol", "max_iters", "mc_samples", "seed")
+
+
+def _emit(data: dict, out: str | None) -> None:
+    text = json.dumps(data, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -92,12 +93,11 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(rank_tol=args.rank_tol)
-
-
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+def _timed(timings: dict, key: str, fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings[key] = time.perf_counter() - t0
+    return out
 
 
 def cmd_gen(args) -> int:
@@ -116,183 +116,73 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bound(args) -> int:
+def cmd_pipeline(args) -> int:
+    """``bound``, ``certify`` and ``estimate``: one validated input, one report.
+
+    ``bound`` and ``certify`` factor and solve, ``certify`` adds Ryser
+    and the sandwich verdict, and ``estimate`` (or ``certify
+    --mc-samples``) runs Monte Carlo.  A zero diagonal entry forces
+    ``per(A) = 0``: the report then carries `zero_diagonal_result`, and
+    factor, solve and Monte Carlo are skipped.  Ryser still runs as a
+    cross-check; for a true zero it returns exactly 0.
+    """
+    verb = args.command
     timings: dict = {}
     t0 = time.perf_counter()
     inst = parse_instance(args.input)
-    psd = validate_hermitian_psd(inst.matrix, _tolerances(args))
-    timings["validate"] = time.perf_counter() - t0
-
-    config = _config(args, ("input", "rank_tol", "grad_tol", "max_iters", "eps"))
-    report = CertReport(command="bound", n=psd.n, gamma=GAMMA,
-                        timings=timings, config=config)
-
-    if psd.zero_diagonal_indices:
-        report.permanent_is_zero = True
-        report.d = psd.rank
-        report.phi = float("-inf")
-        report.log_lower = float("-inf")
-        report.log_upper = float("-inf")
-        report.duality_gap = 0.0
-        report.converged = True
-        report.status = "zero_diagonal"
-        _emit(report, args.out)
-        return EXIT_OK
-
-    t0 = time.perf_counter()
-    factor = gram_factor(psd)
-    timings["factor"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    res = solve(factor, SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters))
-    timings["solve"] = time.perf_counter() - t0
-    if not res.converged:
-        _log(f"warning: solver did not converge (status={res.status}, "
-             f"grad_norm={res.grad_norm:.3e})")
-
-    lo, hi = certified_interval(res.phi, res.n)
-    report.d = res.d
-    report.phi = res.phi
-    report.log_lower = lo
-    report.log_upper = hi
-    report.duality_gap = res.duality_gap
-    report.iterations = res.iterations
-    report.grad_norm = res.grad_norm
-    report.trace_residual = res.trace_residual
-    report.converged = res.converged
-    report.status = res.status
-    if args.eps is not None:
-        report.log_q = bound_with_epsilon(res.phi, res.n, args.eps)
-    _emit(report, args.out)
-    return EXIT_OK
-
-
-def cmd_certify(args) -> int:
-    timings: dict = {}
-    t0 = time.perf_counter()
-    inst = parse_instance(args.input)
-    if inst.n > RYSER_LIMIT:
+    if verb == "certify" and inst.n > RYSER_LIMIT:
         _log(f"error: exact certification needs n <= {RYSER_LIMIT}, got {inst.n}")
         return EXIT_SIZE_GUARD
-    psd = validate_hermitian_psd(inst.matrix, _tolerances(args))
+    psd = validate_hermitian_psd(inst.matrix, Tolerances(rank_tol=args.rank_tol))
     timings["validate"] = time.perf_counter() - t0
 
-    config = _config(args, ("input", "rank_tol", "grad_tol", "max_iters",
-                            "mc_samples", "seed", "eps"))
-    config["sandwich_slack"] = SANDWICH_SLACK
-    report = CertReport(command="certify", n=psd.n, gamma=GAMMA,
-                        timings=timings, config=config)
+    config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
+    if verb == "certify":
+        config["sandwich_slack"] = SANDWICH_SLACK
+    zero = bool(psd.zero_diagonal_indices)
+    report = CertReport(command=verb, n=psd.n, d=psd.rank, gamma=GAMMA,
+                        permanent_is_zero=zero, timings=timings, config=config)
+    factor = None if zero else _timed(timings, "factor", gram_factor, psd)
 
-    if psd.zero_diagonal_indices:
-        # Convention: a zero diagonal entry forces per(A) = 0, and the
-        # bound degenerates to the exact answer.  The oracle is still
-        # run as a cross-check; for a true zero it returns exactly 0.
-        t0 = time.perf_counter()
-        exact = permanent_ryser(psd.matrix)
-        timings["exact"] = time.perf_counter() - t0
-        report.permanent_is_zero = True
-        report.d = psd.rank
-        report.phi = float("-inf")
-        report.log_lower = float("-inf")
-        report.log_upper = float("-inf")
+    if verb != "estimate":
+        if zero:
+            res = zero_diagonal_result(psd)
+        else:
+            opts = SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters)
+            res = _timed(timings, "solve", solve, factor, opts)
+        if not res.converged:
+            _log(f"warning: solver did not converge (status={res.status}, "
+                 f"grad_norm={res.grad_norm:.3e})")
+        for key in BOUND_FIELDS:
+            setattr(report, key, getattr(res, key))
+
+    if verb == "certify":
+        exact = _timed(timings, "exact", permanent_ryser, psd.matrix)
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
-        report.duality_gap = 0.0
-        report.converged = True
-        report.status = "zero_diagonal"
-        report.sandwich_ok = True
-        _emit(report, args.out)
-        return EXIT_OK
+        report.sandwich_ok = zero or bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
+                                          <= res.log_upper + SANDWICH_SLACK)
 
-    t0 = time.perf_counter()
-    factor = gram_factor(psd)
-    timings["factor"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    res = solve(factor, SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters))
-    timings["solve"] = time.perf_counter() - t0
-    if not res.converged:
-        _log(f"warning: solver did not converge (status={res.status}, "
-             f"grad_norm={res.grad_norm:.3e})")
-
-    t0 = time.perf_counter()
-    exact = permanent_ryser(psd.matrix)
-    timings["exact"] = time.perf_counter() - t0
-
-    lo, hi = certified_interval(res.phi, res.n)
-    ok = (lo - SANDWICH_SLACK <= exact.log_abs <= hi + SANDWICH_SLACK)
-
-    report.d = res.d
-    report.phi = res.phi
-    report.log_lower = lo
-    report.log_upper = hi
-    report.duality_gap = res.duality_gap
-    report.log_per_exact = exact.log_abs
-    report.exact_method = exact.method
-    report.sandwich_ok = bool(ok)
-    report.iterations = res.iterations
-    report.grad_norm = res.grad_norm
-    report.trace_residual = res.trace_residual
-    report.converged = res.converged
-    report.status = res.status
-    if args.eps is not None:
-        report.log_q = bound_with_epsilon(res.phi, res.n, args.eps)
-
-    if args.mc_samples:
-        t0 = time.perf_counter()
-        est = estimate_permanent(factor, args.mc_samples, args.seed)
-        timings["estimate"] = time.perf_counter() - t0
+    if verb == "estimate" and zero:
+        report.mc_mean = report.mc_std_error = 0.0
+        report.mc_samples = args.mc_samples
+        report.mc_seed = args.seed
+    elif not zero and getattr(args, "mc_samples", 0):
+        est = _timed(timings, "estimate", estimate_permanent, factor,
+                     args.mc_samples, args.seed)
+        if verb == "estimate" and est.mean > 0 and est.relative_std_error > 1.0:
+            _log(f"warning: relative std error {est.relative_std_error:.2f} > 1; "
+                 "the estimate is dominated by noise at this sample size")
         report.mc_mean = est.mean
         report.mc_std_error = est.std_error
         report.mc_samples = est.samples
         report.mc_seed = est.seed
 
-    _emit(report, args.out)
-    if not ok:
+    _emit(report.to_dict(), args.out)
+    if report.sandwich_ok is False:
         _log(f"error: sandwich violated: log_per={exact.log_abs!r} not in "
-             f"[{lo!r}, {hi!r}] (slack {SANDWICH_SLACK})")
+             f"[{res.log_lower!r}, {res.log_upper!r}] (slack {SANDWICH_SLACK})")
         return EXIT_SANDWICH_VIOLATION
-    return EXIT_OK
-
-
-def cmd_estimate(args) -> int:
-    timings: dict = {}
-    t0 = time.perf_counter()
-    inst = parse_instance(args.input)
-    psd = validate_hermitian_psd(inst.matrix, _tolerances(args))
-    timings["validate"] = time.perf_counter() - t0
-
-    config = _config(args, ("input", "rank_tol", "mc_samples", "seed"))
-    report = CertReport(command="estimate", n=psd.n, gamma=GAMMA,
-                        timings=timings, config=config)
-
-    if psd.zero_diagonal_indices:
-        report.permanent_is_zero = True
-        report.d = psd.rank
-        report.mc_mean = 0.0
-        report.mc_std_error = 0.0
-        report.mc_samples = args.mc_samples
-        report.mc_seed = args.seed
-        _emit(report, args.out)
-        return EXIT_OK
-
-    t0 = time.perf_counter()
-    factor = gram_factor(psd)
-    timings["factor"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    est = estimate_permanent(factor, args.mc_samples, args.seed)
-    timings["estimate"] = time.perf_counter() - t0
-    if est.mean > 0 and est.relative_std_error > 1.0:
-        _log(f"warning: relative std error {est.relative_std_error:.2f} > 1; "
-             "the estimate is dominated by noise at this sample size")
-
-    report.d = factor.d
-    report.mc_mean = est.mean
-    report.mc_std_error = est.std_error
-    report.mc_samples = est.samples
-    report.mc_seed = est.seed
-    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -352,12 +242,7 @@ def _selfcheck_checks() -> list:
 def cmd_selfcheck(args) -> int:
     checks = _selfcheck_checks()
     ok = all(c["ok"] for c in checks)
-    text = json.dumps({"version": __version__, "ok": ok, "checks": checks}, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _emit({"version": __version__, "ok": ok, "checks": checks}, args.out)
     for c in checks:
         _log(f"[{'ok' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}")
     return EXIT_OK if ok else EXIT_SANDWICH_VIOLATION
@@ -381,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grad-tol", type=float, default=1e-9,
                        help="gradient norm target for the maximizer")
         p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--eps", type=float, default=None,
-                       help="also report log Q = phi + eps*n/2, the bound under an "
-                            "eps-approximate maximization")
 
     p = sub.add_parser("gen", help="generate an instance from a named ensemble")
     p.add_argument("--n", type=int, required=True)
@@ -396,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="compute the certified interval for log per(A)")
     common_io(p)
     solver_flags(p)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("certify", help="bound plus exact permanent plus sandwich verdict")
     common_io(p)
@@ -404,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=0,
                    help="if > 0, also run the Monte Carlo estimator")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of per(A)")
     common_io(p)
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("selfcheck", help="run the built-in analytic test battery")
     p.add_argument("--out", default=None)

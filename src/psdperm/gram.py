@@ -33,6 +33,7 @@ __all__ = [
     "HermitianPSD",
     "GramFactor",
     "as_complex_matrix",
+    "hermitian_part",
     "validate_hermitian_psd",
     "gram_factor",
     "apply_unitary",
@@ -135,6 +136,30 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
+def hermitian_part(matrix, herm_tol: float) -> np.ndarray:
+    """Check that a square matrix is Hermitian and return ``(A + A^dagger)/2``.
+
+    Raises `NotHermitianError` if ``max|A - A^dagger|`` exceeds
+    ``herm_tol * max(1, max|A_ij|)``, and what `as_complex_matrix` raises.
+    """
+    A = as_complex_matrix(matrix)
+    scale = float(np.max(np.abs(A)))
+    defect = float(np.max(np.abs(A - A.conj().T)))
+    if defect > herm_tol * max(1.0, scale):
+        raise NotHermitianError(
+            f"Hermitian defect {defect:.3e} exceeds tolerance "
+            f"{herm_tol:.1e} * max(1, {scale:.3e})"
+        )
+    return (A + A.conj().T) / 2.0
+
+
+def _fix_phases(U: np.ndarray) -> np.ndarray:
+    """Rotate each unit column so its largest-modulus entry is real and nonnegative."""
+    pivots = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])].conj()
+    # hypot: numpy's vectorized complex abs may differ in the last bit
+    return U * (pivots * (1.0 / np.hypot(pivots.real, pivots.imag)))
+
+
 def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> HermitianPSD:
     """Validate a matrix as Hermitian PSD and compute its spectral data.
 
@@ -157,21 +182,10 @@ def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> Herm
     NotSquareError, NonFiniteError, NotHermitianError, NotPSDError
     """
     tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
-    A = as_complex_matrix(matrix)
-    n = A.shape[0]
-
-    scale = float(np.max(np.abs(A)))
-    defect = float(np.max(np.abs(A - A.conj().T)))
-    if defect > tol.herm_tol * max(1.0, scale):
-        raise NotHermitianError(
-            f"Hermitian defect {defect:.3e} exceeds tolerance "
-            f"{tol.herm_tol:.1e} * max(1, {scale:.3e})"
-        )
-    Ah = (A + A.conj().T) / 2.0
+    Ah = hermitian_part(matrix, tol.herm_tol)
 
     w, U = np.linalg.eigh(Ah)
     w = w[::-1].copy()
-    U = U[:, ::-1].copy()
 
     lam_max = float(w[0])
     if w[-1] < -tol.psd_tol * max(1.0, lam_max):
@@ -186,16 +200,7 @@ def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> Herm
     w[small] = 0.0
     rank = int(np.count_nonzero(~small))
 
-    # Deterministic eigenvector phases: rotate each column so its
-    # largest-modulus entry is real and nonnegative.
-    for k in range(n):
-        col = U[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            U[:, k] = col * (pivot.conj() / mag)
-
+    U = _fix_phases(U[:, ::-1])
     diag = np.real(np.diag(Ah))
     zero_diag = tuple(int(i) for i in np.nonzero(diag <= tol.diag_tol)[0])
 
@@ -247,13 +252,7 @@ def _spectral_factor(Asub: np.ndarray, tol: Tolerances) -> np.ndarray:
     rank = int(np.count_nonzero(w > tol.rank_tol * max(lam_max, 0.0)))
     if rank == 0:
         raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
-    Ud = U[:, :rank].copy()
-    for k in range(rank):
-        col = Ud[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        Ud[:, k] = col * (pivot.conj() / abs(pivot))
-    return Ud * np.sqrt(w[:rank])
+    return _fix_phases(U[:, :rank]) * np.sqrt(w[:rank])
 
 
 def gram_factor(psd: HermitianPSD) -> GramFactor:

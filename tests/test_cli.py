@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from psdperm import GAMMA, InstanceFile, write_instance
+from psdperm import (
+    GAMMA,
+    InstanceFile,
+    SolverOptions,
+    bound_permanent,
+    parse_instance,
+    write_instance,
+)
 from psdperm.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -51,7 +58,7 @@ def test_bound_identity_closed_form(capsys, tmp_path):
     assert code == EXIT_OK
     phi = 4 * math.log(2) - 2
     assert rep["phi"] == pytest.approx(phi, abs=1e-9)
-    assert rep["log_upper"] == rep["phi"]
+    assert rep["log_upper"] - rep["phi"] == rep["duality_gap"]
     assert rep["log_lower"] == pytest.approx(phi - 2 * GAMMA, abs=1e-9)
     assert rep["converged"] is True
     assert rep["gamma"] == pytest.approx(GAMMA)
@@ -103,14 +110,6 @@ def test_certify_with_monte_carlo(capsys, tmp_path):
     assert abs(rep["mc_mean"] - exact) <= 5 * rep["mc_std_error"]
 
 
-def test_certify_eps_bound(capsys, tmp_path):
-    path = gen_file(capsys, tmp_path, "e.json", "--n", "5", "--d", "2", "--seed", "4")
-    code, rep = run(capsys, "certify", path, "--eps", "0.01")
-    assert code == EXIT_OK
-    assert rep["log_q"] == pytest.approx(rep["phi"] + 0.01 * 5 / 2, abs=1e-12)
-    assert rep["log_q"] >= rep["phi"]
-
-
 def zero_diag_file(tmp_path):
     M = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     path = tmp_path / "zero.json"
@@ -125,6 +124,27 @@ def test_bound_zero_diagonal_sentinel(capsys, tmp_path):
     assert rep["phi"] is None
     assert rep["log_lower"] is None and rep["log_upper"] is None
     assert rep["status"] == "zero_diagonal"
+
+
+@pytest.mark.parametrize("case", [("9", "5", "2", "500"), ("12", "3", "0", "1"), None])
+def test_bound_report_matches_library(capsys, tmp_path, case):
+    # a converged dual run, one primal step (no feasible dual point, so
+    # log_upper is +inf) and the zero-diagonal sentinel
+    if case is None:
+        path, max_iters = zero_diag_file(tmp_path), "500"
+    else:
+        n, d, seed, max_iters = case
+        path = gen_file(capsys, tmp_path, "r.json", "--n", n, "--d", d, "--seed", seed)
+    code, rep = run(capsys, "bound", path, "--max-iters", max_iters)
+    assert code == EXIT_OK
+    res = bound_permanent(parse_instance(path).matrix,
+                          options=SolverOptions(max_iters=int(max_iters)))
+    for key in ("d", "phi", "log_lower", "log_upper", "duality_gap", "iterations",
+                "grad_norm", "trace_residual", "converged", "status"):
+        want = getattr(res, key)
+        if isinstance(want, float) and not math.isfinite(want):
+            want = None
+        assert rep[key] == want, key
 
 
 def test_certify_zero_diagonal(capsys, tmp_path):

@@ -19,6 +19,8 @@ from psdperm import (
     random_unitary,
     validate_hermitian_psd,
 )
+from psdperm import gram
+from helpers import random_hermitian
 
 
 def test_validate_diagonal_example():
@@ -134,6 +136,21 @@ def test_gram_factor_rank_one_ones():
     # phase convention: the largest-modulus entry is real positive
     assert np.all(factor.matrix.real > 0)
     np.testing.assert_allclose(np.abs(factor.matrix), 1.0, atol=1e-12)
+
+
+def _fix_phases_by_column(U):
+    """Column-by-column reference for `gram._fix_phases`."""
+    U = U.copy()
+    for k in range(U.shape[1]):
+        pivot = U[int(np.argmax(np.abs(U[:, k]))), k]
+        U[:, k] = U[:, k] * (pivot.conj() / abs(pivot))
+    return U
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fix_phases_matches_column_loop(seed):
+    U = np.linalg.eigh(random_hermitian(12, seed=seed))[1]
+    np.testing.assert_array_equal(gram._fix_phases(U), _fix_phases_by_column(U))
 
 
 def test_gram_factor_identity():
