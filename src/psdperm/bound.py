@@ -172,8 +172,9 @@ class BoundResult:
     the ``t`` paired with `x_star`, bracket ``log per(A)`` at any
     iterate, converged or not: ``phi <= Phi(A) <= log_upper`` up to
     roundoff.
-    ``log_upper`` is ``+inf`` when that ``t`` is not dual feasible, and
-    ``duality_gap = log_upper - phi``.  `status` is one of
+    ``log_upper`` is ``+inf`` when that ``t`` is not dual feasible, is
+    raised to ``phi`` when roundoff puts it below, and
+    ``duality_gap = log_upper - phi >= 0``.  `status` is one of
     ``converged``, ``max_iters``, ``stalled``, ``no_progress``, or
     ``zero_diagonal`` (the `zero_diagonal_result` sentinel: the
     permanent is exactly zero and ``phi = -inf``).
@@ -525,7 +526,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     best, iterations, status, history = _newton(oracle, oracle.start(X0), opts)
 
     X, phi = best.x, best.phi
-    log_upper = oracle.dual_value(best)
+    # at convergence the dual value can land a few ulps under phi
+    log_upper = max(oracle.dual_value(best), phi)
     return BoundResult(
         phi=phi,
         x_star=PDPoint._of_hermitian(X),

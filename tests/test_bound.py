@@ -222,19 +222,32 @@ def test_bound_permanent_identity_beyond_primal_reach():
     assert res.trace_residual <= 1e-6
 
 
-GAP_SHAPES = [(16, 8, 5), (9, 5, 1), (7, 3, 2), (12, 3, 0), (30, 5, 2), (40, 6, 0), (100, 8, 1)]
+GAP_SHAPES = [
+    (16, 8, 5), (9, 5, 1), (7, 3, 2), (12, 3, 0), (30, 5, 2), (40, 6, 0), (100, 8, 1), (22, 5, 3),
+]
+
+
+def assert_gap_bounds(res):
+    assert res.duality_gap >= 0.0
+    assert res.log_upper - res.phi == res.duality_gap
+    if res.converged:
+        assert res.duality_gap <= 1e-9
+    if res.n < res.d * res.d:
+        # the dual iterate is always dual feasible
+        assert np.isfinite(res.duality_gap)
 
 
 @pytest.mark.parametrize("n, d, seed", GAP_SHAPES)
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 500])
 def test_duality_gap_bounds(n, d, seed, max_iters):
-    res = solve(random_factor(n, d, seed=seed), SolverOptions(max_iters=max_iters))
-    assert res.duality_gap >= -1e-12
-    if res.converged:
-        assert res.duality_gap <= 1e-9
-    if n < d * d:
-        # the dual iterate is always dual feasible
-        assert np.isfinite(res.duality_gap)
+    assert_gap_bounds(solve(random_factor(n, d, seed=seed), SolverOptions(max_iters=max_iters)))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 500])
+def test_duality_gap_bounds_all_ones(max_iters):
+    # all-ones n = 23 converges with its dual value a few ulps under phi
+    factor = gram_factor(gen_instance(23, 1, ensemble="all-ones"))
+    assert_gap_bounds(solve(factor, SolverOptions(max_iters=max_iters)))
 
 
 @pytest.mark.parametrize("n, d, seed", GAP_SHAPES)

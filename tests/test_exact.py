@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from psdperm import (
+    NAIVE_LIMIT,
+    RYSER_LIMIT,
     NonFiniteError,
     NotSquareError,
     TooLargeError,
@@ -40,12 +42,27 @@ def test_ones_is_factorial(per):
         assert per(np.ones((n, n))).value == complex(math.factorial(n))
 
 
+@pytest.mark.parametrize("n", range(9, RYSER_LIMIT + 1))
+def test_ryser_ones_is_factorial_past_block(n):
+    # n - 1 > block_bits from n = 13 on: the blocked outer loop runs
+    expected = math.factorial(n)
+    assert abs(permanent_ryser(np.ones((n, n))).value - expected) <= 1e-11 * expected
+
+
 @pytest.mark.parametrize("per", ORACLES)
 def test_zero_row_gives_exact_zero(per):
     M = np.ones((4, 4), dtype=complex)
     M[2, :] = 0.0
-    assert per(M).value == 0.0 + 0.0j
-    assert per(M).log_abs == float("-inf")
+    cases = [M]
+    # a Hermitian input whose last row and column vanish; Ryser reads column n - 1
+    for n in (5, 22):
+        if per is permanent_ryser or n <= NAIVE_LIMIT:
+            A = gen_instance(n, 4, seed=n).matrix.copy()
+            A[-1, :] = A[:, -1] = 0.0
+            cases.append(A)
+    for A in cases:
+        assert per(A).value == 0.0 + 0.0j
+        assert per(A).log_abs == float("-inf")
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -73,13 +90,14 @@ def test_ryser_rejects_bad_block_bits():
 
 
 def test_rank_one_closed_form():
-    # per(g g^H) = n! * prod |g_i|^2
-    gen = np.random.Generator(np.random.Philox(key=np.array([3, 5], dtype=np.uint64)))
-    g = gen.standard_normal(6) + 1j * gen.standard_normal(6)
-    A = np.outer(g, g.conj())
-    expected = math.factorial(6) * np.prod(np.abs(g) ** 2)
-    got = permanent_ryser(A).value
-    assert abs(got - expected) <= 1e-10 * expected
+    # per(g g^H) = n! * prod |g_i|^2; n = 16 and 22 run the blocked outer loop
+    for n in (6, 16, 22):
+        gen = np.random.Generator(np.random.Philox(key=np.array([3, 5], dtype=np.uint64)))
+        g = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        A = np.outer(g, g.conj())
+        expected = math.factorial(n) * np.prod(np.abs(g) ** 2)
+        got = permanent_ryser(A).value
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_permutation_invariance():
