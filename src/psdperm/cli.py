@@ -21,7 +21,14 @@ from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
 from .gram import Tolerances, gram_factor, validate_hermitian_psd
-from .instances import ENSEMBLES, InstanceFile, gen_instance, parse_instance, write_instance
+from .instances import (
+    ENSEMBLES,
+    InstanceFile,
+    gen_instance,
+    instance_to_json,
+    parse_instance,
+    write_instance,
+)
 from .montecarlo import calibrate_gamma, estimate_permanent
 
 EXIT_OK = 0
@@ -110,9 +117,7 @@ def cmd_gen(args) -> int:
         write_instance(inst, args.out)
         _log(f"wrote {args.ensemble} instance n={args.n} d={args.d} to {args.out}")
     else:
-        from .instances import instance_to_dict
-
-        sys.stdout.write(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+        sys.stdout.write(instance_to_json(inst))
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ def test_gen_stdout(capsys):
     assert code == EXIT_OK
     assert payload["n"] == 2
     assert payload["entries"][0][0] == {"re": 1.0, "im": 0.0}
+
+
+def test_gen_stdout_matches_out_file(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "g.json", "--n", "5", "--d", "2", "--seed", "4")
+    assert main(["gen", "--n", "5", "--d", "2", "--seed", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == Path(path).read_bytes()
 
 
 def test_bound_identity_closed_form(capsys, tmp_path):
@@ -196,6 +203,24 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
 
     bad_gen = main(["gen", "--n", "3", "--d", "7"])
     assert bad_gen == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b'{"n": 1, "entries": [[{"re": 1%s, "im": 0.0}]]}' % (b"0" * 400),
+                 id="401-digits"),
+    pytest.param(b'{"n": 1, "entries": [[{"re": 1%s, "im": 0.0}]]}' % (b"0" * 4300),
+                 id="4301-digits"),
+    pytest.param(b'\xff{"n": 1, "entries": [[{"re": 1.0, "im": 0.0}]]}', id="not-utf8"),
+])
+def test_malformed_file_is_one_error_line(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["bound", str(path)]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_out_flag_writes_report(capsys, tmp_path):
