@@ -145,11 +145,6 @@ def _check_number(value, fieldname: str) -> None:
     _require(math.isfinite(x), fieldname, "must be finite")
 
 
-def _is_number_type(t: type) -> bool:
-    """Whether `_check_number` accepts the type of a finite value."""
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
 def _entries_matrix(entries: list, n: int) -> np.ndarray | None:
     """The n x n matrix of `entries`, or None if any row, cell or value is bad.
 
@@ -166,7 +161,8 @@ def _entries_matrix(entries: list, n: int) -> np.ndarray | None:
         im = [cell["im"] for cell in cells]
     except KeyError:
         return None
-    if not all(map(_is_number_type, set(map(type, re)) | set(map(type, im)))):
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, re)) | set(map(type, im))):
         return None
     try:
         parts = np.array([re, im], dtype=float)
@@ -252,6 +248,8 @@ def parse_instance(path) -> InstanceFile:
         raise ParseError(f"invalid JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos) from None
     except ValueError as exc:  # an integer literal past the int-string digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     return instance_from_dict(obj)
 
 

@@ -211,6 +211,7 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     pytest.param(b'{"n": 1, "entries": [[{"re": 1%s, "im": 0.0}]]}' % (b"0" * 4300),
                  id="4301-digits"),
     pytest.param(b'\xff{"n": 1, "entries": [[{"re": 1.0, "im": 0.0}]]}', id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deeply"),
 ])
 def test_malformed_file_is_one_error_line(capsys, tmp_path, data):
     path = tmp_path / "bad.json"

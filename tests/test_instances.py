@@ -222,6 +222,7 @@ def int_digit_limit() -> int:
                   % ("0" * int_digit_limit())).encode(), None, id="too-many-digits",
                  marks=pytest.mark.skipif(int_digit_limit() == 0,
                                           reason="no int-string digit limit")),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, None, id="nested-too-deeply"),
 ])
 def test_unreadable_text_is_a_parse_error(tmp_path, data, offset):
     path = tmp_path / "bad.json"
