@@ -52,10 +52,8 @@ from .exact import (
     permanent_ryser,
 )
 from .gram import (
-    DEFAULT_TOLERANCES,
     GramFactor,
     HermitianPSD,
-    Tolerances,
     apply_unitary,
     gram_factor,
     validate_hermitian_psd,
@@ -71,9 +69,9 @@ from .instances import (
 from .montecarlo import (
     EstimateResult,
     MomentAccumulator,
-    RngStream,
     calibrate_gamma,
     estimate_permanent,
+    philox_generator,
     sample_standard_complex_gaussian,
 )
 
@@ -82,8 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # gram
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "HermitianPSD",
     "GramFactor",
     "validate_hermitian_psd",
@@ -106,7 +102,7 @@ __all__ = [
     "permanent_naive",
     "permanent_ryser",
     # monte carlo
-    "RngStream",
+    "philox_generator",
     "MomentAccumulator",
     "EstimateResult",
     "sample_standard_complex_gaussian",

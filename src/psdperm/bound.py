@@ -76,6 +76,16 @@ GAMMA = float(np.euler_gamma)
 
 _EPS = float(np.finfo(float).eps)
 
+#: Armijo sufficient-decrease constant of the line search.
+ARMIJO_C = 1e-4
+#: Step shrink factor per backtrack, and the backtracks tried per iteration.
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 60
+#: The driver stops as ``stalled`` when the minimized function has
+#: improved by less than `STALL_TOL` over the last `STALL_WINDOW` iterations.
+STALL_WINDOW = 5
+STALL_TOL = 1e-12
+
 
 @dataclass(frozen=True, slots=True)
 class PDPoint:
@@ -91,9 +101,9 @@ class PDPoint:
     packed: np.ndarray
 
     @classmethod
-    def from_matrix(cls, X, herm_tol: float = 1e-10) -> "PDPoint":
+    def from_matrix(cls, X) -> "PDPoint":
         """Validate and wrap a matrix, raising if it is not Hermitian PD."""
-        Xh = hermitian_part(X, herm_tol)
+        Xh = hermitian_part(X)
         try:
             np.linalg.cholesky(Xh)
         except np.linalg.LinAlgError as exc:
@@ -136,30 +146,18 @@ class PDPoint:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the damped Newton maximizer.
+    """Stopping rule of the damped Newton maximizer.
 
-    ``init_scale="trace_normalized"`` starts at ``((n+d)/d) * I`` so the
-    iterate already satisfies the optimal trace; ``"identity"`` starts
-    at ``I``.  The stall rule stops when the objective has improved by
-    less than `stall_tol` over the last `stall_window` iterations.
+    It stops when the primal gradient norm reaches `grad_tol` or after
+    `max_iters` iterations.
     """
 
     grad_tol: float = 1e-9
     max_iters: int = 500
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-    init_scale: str = "trace_normalized"
-    stall_window: int = 5
-    stall_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -460,16 +458,16 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
 
         step = 1.0
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             zt = it.z + step * delta
             Mt = oracle.pd_matrix(zt)
             cholt = None if Mt is None else _try_chol(Mt)
             if cholt is not None:
                 ft = oracle.value(zt, Mt, cholt)
-                if ft <= it.f + opts.armijo_c * step * slope + slack:
+                if ft <= it.f + ARMIJO_C * step * slope + slack:
                     accepted = oracle.iterate(zt, Mt, cholt, ft)
                     break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
         iterations += 1
 
         if accepted is None:
@@ -482,8 +480,8 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
         values.append(it.f)
 
         if (
-            len(values) > opts.stall_window
-            and values[-1 - opts.stall_window] - values[-1] < opts.stall_tol
+            len(values) > STALL_WINDOW
+            and values[-1 - STALL_WINDOW] - values[-1] < STALL_TOL
             and it.grad_norm > opts.grad_tol
         ):
             status = "stalled"
@@ -498,7 +496,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     """Maximize the concave objective over the positive definite cone.
 
     Runs Newton on the dual when ``n < d^2`` and on the primal otherwise
-    (see the module docstring).  Returns a `BoundResult` with the
+    (see the module docstring), starting from ``X0 = ((n + d)/d) I``,
+    which already has the optimal trace.  Returns a `BoundResult` with the
     certified interval endpoints in log domain.  On non-convergence the
     best iterate found is still returned, with ``converged=False`` and a
     diagnostic `status`; its endpoints are still bounds, and `log_upper`
@@ -515,13 +514,7 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     V = factor.matrix
     n, d = V.shape
 
-    if opts.init_scale == "trace_normalized":
-        X0 = ((n + d) / d) * np.eye(d, dtype=complex)
-    elif opts.init_scale == "identity":
-        X0 = np.eye(d, dtype=complex)
-    else:
-        raise ValueError(f"unknown init_scale: {opts.init_scale!r}")
-
+    X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     oracle = _DualOracle(V) if n < d * d else _PrimalOracle(V)
     best, iterations, status, history = _newton(oracle, oracle.start(X0), opts)
 
@@ -572,13 +565,13 @@ def zero_diagonal_result(psd: HermitianPSD) -> BoundResult:
     )
 
 
-def bound_permanent(matrix, tolerances=None, options: SolverOptions | None = None) -> BoundResult:
+def bound_permanent(matrix, options: SolverOptions | None = None) -> BoundResult:
     """Validate, factor, and bound in one call.
 
     A zero diagonal entry forces ``per(A) = 0``; in that case the
     `zero_diagonal_result` sentinel is returned and no optimization runs.
     """
-    psd = validate_hermitian_psd(matrix, tolerances)
+    psd = validate_hermitian_psd(matrix)
     if psd.zero_diagonal_indices:
         return zero_diagonal_result(psd)
     factor = gram_factor(psd)

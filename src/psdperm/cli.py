@@ -20,7 +20,7 @@ from . import __version__
 from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
-from .gram import Tolerances, gram_factor, validate_hermitian_psd
+from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
     InstanceFile,
@@ -138,7 +138,7 @@ def cmd_pipeline(args) -> int:
     if verb == "certify" and inst.n > RYSER_LIMIT:
         _log(f"error: exact certification needs n <= {RYSER_LIMIT}, got {inst.n}")
         return EXIT_SIZE_GUARD
-    psd = validate_hermitian_psd(inst.matrix, Tolerances(rank_tol=args.rank_tol))
+    psd = validate_hermitian_psd(inst.matrix, args.rank_tol)
     timings["validate"] = time.perf_counter() - t0
 
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
@@ -253,6 +253,21 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else EXIT_SANDWICH_VIOLATION
 
 
+def _checked(convert, accept, what: str):
+    """An argparse ``type`` that converts with `convert` and keeps values where `accept` holds.
+
+    A rejected value is a usage error: argparse prints it and exits 2.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psdperm",
@@ -263,14 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_io(p):
         p.add_argument("input", help="instance JSON file")
-        p.add_argument("--rank-tol", type=float, default=1e-10,
+        p.add_argument("--rank-tol", type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                       default=RANK_TOL,
                        help="relative eigenvalue cutoff for the numerical rank")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     def solver_flags(p):
-        p.add_argument("--grad-tol", type=float, default=1e-9,
-                       help="gradient norm target for the maximizer")
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--grad-tol", type=_checked(float, lambda v: 0.0 < v < math.inf,
+                                                   "finite and above 0"),
+                       default=1e-9, help="gradient norm target for the maximizer")
+        p.add_argument("--max-iters", type=_checked(int, lambda v: v >= 1, "at least 1"),
+                       default=500)
 
     p = sub.add_parser("gen", help="generate an instance from a named ensemble")
     p.add_argument("--n", type=int, required=True)
@@ -288,14 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="bound plus exact permanent plus sandwich verdict")
     common_io(p)
     solver_flags(p)
-    p.add_argument("--mc-samples", type=int, default=0,
-                   help="if > 0, also run the Monte Carlo estimator")
+    p.add_argument("--mc-samples", type=_checked(int, lambda v: v == 0 or v >= 2,
+                                                 "0 or at least 2"),
+                   default=0, help="if > 0, also run the Monte Carlo estimator")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of per(A)")
     common_io(p)
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--mc-samples", type=_checked(int, lambda v: v >= 2, "at least 2"),
+                   default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pipeline)
 

@@ -21,6 +21,10 @@ __all__ = ["NAIVE_LIMIT", "RYSER_LIMIT", "ExactResult", "permanent_naive", "perm
 NAIVE_LIMIT = 9
 RYSER_LIMIT = 22
 
+#: Ryser sums the subsets of its low ``BLOCK_BITS`` columns as one
+#: ``(n, 2^BLOCK_BITS)`` array per subset of the other columns.
+BLOCK_BITS = 11
+
 
 @dataclass(frozen=True)
 class ExactResult:
@@ -81,28 +85,25 @@ def _gray_sums(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def permanent_ryser(matrix, block_bits: int = 11) -> ExactResult:
+def permanent_ryser(matrix) -> ExactResult:
     """Permanent by Ryser's formula in Nijenhuis-Wilf form, n <= 22.
 
         per(M) = (-1)^(n-1) * 2 * sum_{S in [n-1]} (-1)^{|S|} prod_i (x_i + sum_{j in S} M_ij)
 
     with ``x_i = M_{i,n-1} - sum_j M_ij / 2`` (Nijenhuis & Wilf, 1978):
     2^(n-1) terms, whose centred factors lose fewer digits to cancellation
-    than the plain formula's.  The low `block_bits` columns' subset sums
+    than the plain formula's.  The low `BLOCK_BITS` columns' subset sums
     form an ``(n, 2^b)`` array, one contiguous row per matrix row, swept
     against each Gray-code subset of the other columns and multiplied
-    row by row in place.  `block_bits` only trades memory against speed;
-    the result is the same sum.
+    row by row in place.
     """
     M = as_complex_matrix(matrix)
     n = M.shape[0]
     if n > RYSER_LIMIT:
         raise TooLargeError(f"Ryser oracle limited to n <= {RYSER_LIMIT}, got {n}")
-    if not 1 <= block_bits <= 20:
-        raise ValueError("block_bits must be in [1, 20]")
 
     m = n - 1
-    b = min(block_bits, m)
+    b = min(BLOCK_BITS, m)
     lo = _gray_sums(M[:, :b]) + (M[:, m] - 0.5 * M.sum(axis=1))[:, None]
 
     hi_sum = np.zeros(n, dtype=complex)

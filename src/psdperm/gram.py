@@ -14,7 +14,7 @@ identical factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,15 @@ from .errors import (
     NotUnitaryError,
     ReconstructionError,
     ZeroMatrixError,
+    ZeroRowError,
 )
 
 __all__ = [
-    "Tolerances",
+    "HERM_TOL",
+    "PSD_TOL",
+    "RANK_TOL",
+    "DIAG_TOL",
+    "RECON_TOL",
     "HermitianPSD",
     "GramFactor",
     "as_complex_matrix",
@@ -40,37 +45,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used during validation and factorization.
-
-    Attributes
-    ----------
-    herm_tol : float
-        Maximum allowed entrywise deviation ``|A - A^dagger|``, relative
-        to ``max(1, max|A_ij|)``.
-    psd_tol : float
-        Eigenvalues below ``-psd_tol * max(1, lambda_max)`` reject the
-        matrix as not positive semidefinite.
-    rank_tol : float
-        Eigenvalues at or below ``rank_tol * lambda_max`` are clipped to
-        zero and do not count toward the rank.
-    diag_tol : float
-        Diagonal entries at or below this absolute threshold are treated
-        as exact zeros (which forces the permanent to be zero).
-    recon_tol : float
-        Relative Frobenius error allowed in ``V V^dagger`` against the
-        validated matrix.
-    """
-
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    diag_tol: float = 1e-12
-    recon_tol: float = 1e-8
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: Maximum entrywise deviation ``|A - A^dagger|``, relative to
+#: ``max(1, max|A_ij|)``.
+HERM_TOL = 1e-10
+#: Eigenvalues below ``-PSD_TOL * max(1, lambda_max)`` reject the matrix
+#: as not positive semidefinite.
+PSD_TOL = 1e-9
+#: Default of `validate_hermitian_psd`'s ``rank_tol``: eigenvalues at or
+#: below ``rank_tol * lambda_max`` are clipped to zero and do not count
+#: toward the rank.
+RANK_TOL = 1e-10
+#: Diagonal entries at or below this absolute threshold are exact zeros,
+#: which force the permanent to be zero.
+DIAG_TOL = 1e-12
+#: Relative Frobenius error allowed in ``V V^dagger`` against the
+#: validated matrix; ``RECON_TOL * d`` bounds ``||U^dagger U - I||_F`` in
+#: `apply_unitary`.
+RECON_TOL = 1e-8
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
@@ -101,8 +92,8 @@ class HermitianPSD:
     ----------
     matrix : np.ndarray
         The Hermitized matrix ``(A + A^dagger)/2``, shape ``(n, n)``.
-        This differs from the raw input by at most ``herm_tol`` per
-        entry and is exactly Hermitian.
+        This differs from the raw input by at most `HERM_TOL` per entry
+        (relative) and is exactly Hermitian.
     eigenvalues : np.ndarray
         Real eigenvalues in descending order; values at or below the
         clip threshold ``rank_tol * lambda_max`` are set to exactly 0.
@@ -112,11 +103,9 @@ class HermitianPSD:
     rank : int
         Number of eigenvalues strictly above the clip threshold.
     zero_diagonal_indices : tuple
-        Indices ``i`` with ``A_ii <= diag_tol``.  Any such index forces
+        Indices ``i`` with ``A_ii <= DIAG_TOL``.  Any such index forces
         ``per(A) = 0``, since PSD structure makes the whole row
         negligible.
-    tolerances : Tolerances
-        The thresholds used for this validation.
     """
 
     matrix: np.ndarray
@@ -124,7 +113,6 @@ class HermitianPSD:
     eigenvectors: np.ndarray
     rank: int
     zero_diagonal_indices: tuple
-    tolerances: Tolerances = field(default=DEFAULT_TOLERANCES)
 
     @property
     def n(self) -> int:
@@ -136,19 +124,19 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def hermitian_part(matrix, herm_tol: float) -> np.ndarray:
+def hermitian_part(matrix) -> np.ndarray:
     """Check that a square matrix is Hermitian and return ``(A + A^dagger)/2``.
 
     Raises `NotHermitianError` if ``max|A - A^dagger|`` exceeds
-    ``herm_tol * max(1, max|A_ij|)``, and what `as_complex_matrix` raises.
+    ``HERM_TOL * max(1, max|A_ij|)``, and what `as_complex_matrix` raises.
     """
     A = as_complex_matrix(matrix)
     scale = float(np.max(np.abs(A)))
     defect = float(np.max(np.abs(A - A.conj().T)))
-    if defect > herm_tol * max(1.0, scale):
+    if defect > HERM_TOL * max(1.0, scale):
         raise NotHermitianError(
             f"Hermitian defect {defect:.3e} exceeds tolerance "
-            f"{herm_tol:.1e} * max(1, {scale:.3e})"
+            f"{HERM_TOL:.1e} * max(1, {scale:.3e})"
         )
     return (A + A.conj().T) / 2.0
 
@@ -160,15 +148,16 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
     return U * (pivots * (1.0 / np.hypot(pivots.real, pivots.imag)))
 
 
-def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> HermitianPSD:
+def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
     """Validate a matrix as Hermitian PSD and compute its spectral data.
 
     Parameters
     ----------
     matrix : array_like
         Square complex matrix, ``n >= 1``.
-    tolerances : Tolerances, optional
-        Thresholds; defaults to `DEFAULT_TOLERANCES`.
+    rank_tol : float, optional
+        Eigenvalues at or below ``rank_tol * lambda_max`` are clipped to
+        zero and do not count toward the rank; must lie in ``[0, 1)``.
 
     Returns
     -------
@@ -179,30 +168,33 @@ def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> Herm
 
     Raises
     ------
+    ValueError
+        If `rank_tol` is negative, not finite, or at least 1.
     NotSquareError, NonFiniteError, NotHermitianError, NotPSDError
     """
-    tol = tolerances if tolerances is not None else DEFAULT_TOLERANCES
-    Ah = hermitian_part(matrix, tol.herm_tol)
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
+    Ah = hermitian_part(matrix)
 
     w, U = np.linalg.eigh(Ah)
     w = w[::-1].copy()
 
     lam_max = float(w[0])
-    if w[-1] < -tol.psd_tol * max(1.0, lam_max):
+    if w[-1] < -PSD_TOL * max(1.0, lam_max):
         raise NotPSDError(
-            f"minimum eigenvalue {w[-1]:.3e} below -{tol.psd_tol:.1e} "
+            f"minimum eigenvalue {w[-1]:.3e} below -{PSD_TOL:.1e} "
             f"* max(1, {lam_max:.3e})"
         )
 
     # Clip the tail of the spectrum to exact zeros.
-    clip = tol.rank_tol * max(lam_max, 0.0)
+    clip = rank_tol * max(lam_max, 0.0)
     small = w <= clip
     w[small] = 0.0
     rank = int(np.count_nonzero(~small))
 
     U = _fix_phases(U[:, ::-1])
     diag = np.real(np.diag(Ah))
-    zero_diag = tuple(int(i) for i in np.nonzero(diag <= tol.diag_tol)[0])
+    zero_diag = tuple(int(i) for i in np.nonzero(diag <= DIAG_TOL)[0])
 
     _freeze(Ah, w, U)
     return HermitianPSD(
@@ -211,7 +203,6 @@ def validate_hermitian_psd(matrix, tolerances: Tolerances | None = None) -> Herm
         eigenvectors=U,
         rank=rank,
         zero_diagonal_indices=zero_diag,
-        tolerances=tol,
     )
 
 
@@ -223,16 +214,13 @@ class GramFactor:
     ----------
     matrix : np.ndarray
         Shape ``(n, d)`` with full column rank; row ``i`` is the Gram
-        vector of index ``i`` of the (possibly row-reduced) matrix.
+        vector of index ``i``.
     row_norms_sq : np.ndarray
         ``|v_i|^2`` per row; agrees with the source diagonal.
-    kept_rows : tuple
-        Original indices retained after dropping zero-diagonal rows.
     """
 
     matrix: np.ndarray
     row_norms_sq: np.ndarray
-    kept_rows: tuple
 
     @property
     def n(self) -> int:
@@ -243,24 +231,12 @@ class GramFactor:
         return self.matrix.shape[1]
 
 
-def _spectral_factor(Asub: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Phase-fixed V = U_d sqrt(w_d) from the spectrum of `Asub`."""
-    w, U = np.linalg.eigh(Asub)
-    w = w[::-1]
-    U = U[:, ::-1]
-    lam_max = float(w[0])
-    rank = int(np.count_nonzero(w > tol.rank_tol * max(lam_max, 0.0)))
-    if rank == 0:
-        raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
-    return _fix_phases(U[:, :rank]) * np.sqrt(w[:rank])
-
-
 def gram_factor(psd: HermitianPSD) -> GramFactor:
     """Compute the rank-revealing Gram factor of a validated matrix.
 
-    Rows whose diagonal entry is a numerical zero are dropped first
-    (they force ``per(A) = 0`` and are handled upstream); the factor
-    covers the remaining principal submatrix.
+    ``V = U_d sqrt(w_d)`` from the validated spectrum.  A zero diagonal
+    entry forces ``per(A) = 0``; callers handle that case before
+    factoring (see `bound.zero_diagonal_result`).
 
     Returns
     -------
@@ -269,49 +245,45 @@ def gram_factor(psd: HermitianPSD) -> GramFactor:
     Raises
     ------
     ZeroMatrixError
-        If the matrix (after dropping zero rows) is numerically zero.
+        If the matrix is numerically zero (rank 0).
+    ZeroRowError
+        If the matrix has a zero diagonal entry.
     ReconstructionError
-        If ``V V^dagger`` fails to match the source within
-        ``recon_tol`` (relative Frobenius), or the row norms disagree
-        with the diagonal.
+        If ``V V^dagger`` fails to match the source within `RECON_TOL`
+        (relative Frobenius), or the row norms disagree with the
+        diagonal; NaN in the factor fails both checks.
     """
-    tol = psd.tolerances
-    n = psd.n
-
+    if psd.rank == 0:
+        raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
     if psd.zero_diagonal_indices:
-        keep = [i for i in range(n) if i not in psd.zero_diagonal_indices]
-        if not keep:
-            raise ZeroMatrixError("all diagonal entries are numerically zero")
-        Asub = psd.matrix[np.ix_(keep, keep)]
-        V = _spectral_factor(Asub, tol)
-        kept = tuple(keep)
-    else:
-        if psd.rank == 0:
-            raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
-        d = psd.rank
-        V = psd.eigenvectors[:, :d] * np.sqrt(psd.eigenvalues[:d])
-        Asub = psd.matrix
-        kept = tuple(range(n))
+        raise ZeroRowError(
+            f"diagonal entries {list(psd.zero_diagonal_indices)} are numerically zero; "
+            "the permanent is exactly zero and must be short-circuited by the caller"
+        )
+    d = psd.rank
+    V = psd.eigenvectors[:, :d] * np.sqrt(psd.eigenvalues[:d])
+    A = psd.matrix
 
     recon = V @ V.conj().T
-    ref_norm = float(np.linalg.norm(Asub))
-    err = float(np.linalg.norm(recon - Asub))
-    if err > tol.recon_tol * max(1.0, ref_norm):
+    ref_norm = float(np.linalg.norm(A))
+    bound = RECON_TOL * max(1.0, ref_norm)
+    err = float(np.linalg.norm(recon - A))
+    if not err <= bound:
         raise ReconstructionError(
-            f"||V V^H - A||_F = {err:.3e} exceeds {tol.recon_tol:.1e} "
+            f"||V V^H - A||_F = {err:.3e} exceeds {RECON_TOL:.1e} "
             f"* max(1, {ref_norm:.3e})"
         )
 
     row_norms_sq = np.sum(np.abs(V) ** 2, axis=1)
-    diag = np.real(np.diag(Asub))
-    if float(np.max(np.abs(row_norms_sq - diag))) > tol.recon_tol * max(1.0, ref_norm):
+    diag = np.real(np.diag(A))
+    if not float(np.max(np.abs(row_norms_sq - diag))) <= bound:
         raise ReconstructionError("Gram row norms disagree with the diagonal")
 
     _freeze(V, row_norms_sq)
-    return GramFactor(matrix=V, row_norms_sq=row_norms_sq, kept_rows=kept)
+    return GramFactor(matrix=V, row_norms_sq=row_norms_sq)
 
 
-def apply_unitary(factor: GramFactor, unitary, recon_tol: float = 1e-8) -> GramFactor:
+def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
     """Right-multiply the Gram factor by a unitary: ``W = V U``.
 
     ``W W^dagger = V V^dagger``, so the factored matrix is unchanged;
@@ -322,7 +294,7 @@ def apply_unitary(factor: GramFactor, unitary, recon_tol: float = 1e-8) -> GramF
     ------
     NotUnitaryError
         If `unitary` is not ``d x d`` or fails ``U^dagger U = I``
-        within `recon_tol` (Frobenius).
+        within ``RECON_TOL * d`` (Frobenius).
     """
     d = factor.d
     U = np.asarray(unitary, dtype=complex)
@@ -331,11 +303,11 @@ def apply_unitary(factor: GramFactor, unitary, recon_tol: float = 1e-8) -> GramF
     if not np.all(np.isfinite(U.real)) or not np.all(np.isfinite(U.imag)):
         raise NotUnitaryError("unitary contains non-finite entries")
     defect = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
-    if defect > recon_tol * d:
+    if defect > RECON_TOL * d:
         raise NotUnitaryError(
-            f"||U^H U - I||_F = {defect:.3e} exceeds {recon_tol:.1e} * {d}"
+            f"||U^H U - I||_F = {defect:.3e} exceeds {RECON_TOL:.1e} * {d}"
         )
     W = factor.matrix @ U
     row_norms_sq = np.sum(np.abs(W) ** 2, axis=1)
     _freeze(W, row_norms_sq)
-    return GramFactor(matrix=W, row_norms_sq=row_norms_sq, kept_rows=factor.kept_rows)
+    return GramFactor(matrix=W, row_norms_sq=row_norms_sq)

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadRankError, ParseError, SchemaError
-from .gram import HermitianPSD, Tolerances, validate_hermitian_psd
-from .montecarlo import RngStream
+from .gram import HermitianPSD, validate_hermitian_psd
+from .montecarlo import philox_generator, sample_standard_complex_gaussian
 
 __all__ = [
     "ENSEMBLES",
@@ -48,7 +48,6 @@ def gen_instance(
     d: int,
     seed: int = 0,
     ensemble: str = "gaussian-gram",
-    tolerances: Tolerances | None = None,
 ) -> HermitianPSD:
     """Generate a validated instance from a named ensemble.
 
@@ -72,9 +71,7 @@ def gen_instance(
         raise ValueError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
 
     if ensemble == "gaussian-gram":
-        gen = RngStream(seed=seed).generator()
-        g = gen.standard_normal((n, d, 2))
-        G = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
+        G = sample_standard_complex_gaussian(philox_generator(seed), d, size=n)
         A = G @ G.conj().T
         A = A / np.max(np.real(np.diag(A)))
     elif ensemble == "identity":
@@ -88,11 +85,10 @@ def gen_instance(
     else:  # diagonal
         if d != n:
             raise BadRankError(f"diagonal ensemble has rank n={n}, got d={d}")
-        gen = RngStream(seed=seed).generator()
-        vals = gen.uniform(0.1, 1.0, size=n)
+        vals = philox_generator(seed).uniform(0.1, 1.0, size=n)
         A = np.diag(vals / vals.max()).astype(complex)
 
-    psd = validate_hermitian_psd(A, tolerances)
+    psd = validate_hermitian_psd(A)
     if psd.rank != d:
         raise BadRankError(
             f"generated instance has numerical rank {psd.rank}, expected {d}"
@@ -106,9 +102,7 @@ def random_unitary(d: int, seed: int = 0) -> np.ndarray:
     Columns are phase-fixed by the R diagonal, so the result is exactly
     unitary (up to roundoff) and deterministic per seed.
     """
-    gen = RngStream(seed=seed).generator()
-    g = gen.standard_normal((d, d, 2))
-    Z = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
+    Z = sample_standard_complex_gaussian(philox_generator(seed), d, size=d)
     Q, R = np.linalg.qr(Z)
     diag = np.diag(R)
     phases = diag / np.abs(diag)
@@ -238,14 +232,15 @@ def parse_instance(path) -> InstanceFile:
     field) for structural problems.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}",
                          offset=exc.start) from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos) from None
+        offset = len(text[: exc.pos].encode("utf-8"))  # exc.pos counts characters
+        raise ParseError(f"invalid JSON at byte {offset}: {exc.msg}", offset=offset) from None
     except ValueError as exc:  # an integer literal past the int-string digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:

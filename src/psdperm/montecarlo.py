@@ -12,21 +12,21 @@ and variance ``pi^2/6``), which is exactly the gap the deterministic
 bound closes; the estimator is kept as an independent statistical check
 at small ``n`` and as the calibration tool for ``gamma`` itself.
 
-Randomness comes from the counter-based Philox generator keyed by
-``(seed, stream_id)``, so results are reproducible bit for bit across
-runs and independent streams never overlap.
+Randomness comes from the counter-based Philox generator keyed by the
+seed, so results are reproducible bit for bit across runs.  Draws are
+taken and averaged in batches of `BATCH_SIZE` to bound memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gram import GramFactor
 
 __all__ = [
-    "RngStream",
+    "philox_generator",
     "MomentAccumulator",
     "EstimateResult",
     "sample_standard_complex_gaussian",
@@ -37,39 +37,26 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _SQRT2 = np.sqrt(2.0)
 
+#: Gaussian draws held in memory at once by the sampling loop.
+BATCH_SIZE = 1 << 16
 
-@dataclass(frozen=True)
-class RngStream:
-    """Handle for a reproducible random stream.
 
-    `generator()` builds a fresh numpy Generator every call, so a
-    stream handle always replays the same sequence; pass the Generator
-    itself to continue a sequence across calls.  `split()` derives an
-    independent stream under the same seed.
+def philox_generator(seed: int) -> np.random.Generator:
+    """A fresh Philox-4x64 Generator keyed ``[seed mod 2^64, 0]``.
+
+    Each call replays the same sequence; pass the Generator itself to
+    continue a sequence across calls.
     """
-
-    seed: int
-    stream_id: int = 0
-    algorithm: str = "philox4x64"
-
-    def generator(self) -> np.random.Generator:
-        if self.algorithm != "philox4x64":
-            raise ValueError(f"unknown rng algorithm: {self.algorithm!r}")
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, stream_id: int) -> "RngStream":
-        return replace(self, stream_id=stream_id)
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
 class MomentAccumulator:
-    """Streaming mean and variance with associative merge.
+    """Streaming mean and variance.
 
-    `update` folds in a batch of values; `merge` combines two
-    accumulators exactly as if their batches had been concatenated, so
-    partial results from parallel streams can be reduced in any
-    grouping.  `sum_sq_dev` carries ``sum (x - mean)^2``.
+    `update` folds in a batch of values with the pairwise (Chan et al.)
+    update; `sum_sq_dev` carries ``sum (x - mean)^2``.
     """
 
     count: int = 0
@@ -82,20 +69,10 @@ class MomentAccumulator:
             return
         bmean = float(arr.mean())
         bssd = float(np.sum((arr - bmean) ** 2))
-        self._fold(arr.size, bmean, bssd)
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        out = MomentAccumulator(self.count, self.mean, self.sum_sq_dev)
-        out._fold(other.count, other.mean, other.sum_sq_dev)
-        return out
-
-    def _fold(self, bcount: int, bmean: float, bssd: float) -> None:
-        if bcount == 0:
-            return
-        total = self.count + bcount
+        total = self.count + arr.size
         delta = bmean - self.mean
-        self.mean += delta * bcount / total
-        self.sum_sq_dev += bssd + delta * delta * self.count * bcount / total
+        self.mean += delta * arr.size / total
+        self.sum_sq_dev += bssd + delta * delta * self.count * arr.size / total
         self.count = total
 
     @property
@@ -120,7 +97,6 @@ class EstimateResult:
     std_error: float
     samples: int
     seed: int
-    log_domain: bool
 
     @property
     def relative_std_error(self) -> float:
@@ -129,87 +105,60 @@ class EstimateResult:
         return abs(self.std_error / self.mean)
 
 
-def sample_standard_complex_gaussian(rng, d: int, size: int | None = None) -> np.ndarray:
+def sample_standard_complex_gaussian(gen: np.random.Generator, d: int,
+                                     size: int | None = None) -> np.ndarray:
     """Draw standard complex Gaussian vectors with E[Z Z^dagger] = I_d.
 
     Coordinates are ``(g1 + i*g2)/sqrt(2)`` with ``g1, g2`` independent
-    real standard normals, so ``E|z_a|^2 = 1``.  `rng` is an
-    `RngStream` (replayed from the start) or a numpy Generator
-    (consumed in place).  Returns shape ``(d,)`` or ``(size, d)``.
+    real standard normals, so ``E|z_a|^2 = 1``.  `gen` is consumed in
+    place.  Returns shape ``(d,)`` or ``(size, d)``.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = (d, 2) if size is None else (size, d, 2)
     g = gen.standard_normal(shape)
     return (g[..., 0] + 1j * g[..., 1]) / _SQRT2
 
 
-def estimate_permanent(
-    factor: GramFactor,
-    samples: int,
-    seed: int,
-    *,
-    stream_id: int = 0,
-    batch_size: int = 1 << 16,
-    log_domain: bool = False,
-) -> EstimateResult:
-    """Unbiased Monte Carlo estimate of ``per(A)`` from its Gram factor.
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
 
-    With ``log_domain=True`` the per-draw statistic is
-    ``sum_i log|v_i^dagger Z|^2`` instead of the product: a geometric
-    diagnostic whose mean is *not* ``log per(A)``, useful for watching
-    the concentration of the sampler.
+
+def _sample_mean(statistic, d: int, samples: int, seed: int) -> EstimateResult:
+    """Mean and standard error of ``statistic(Z)`` over `samples` draws of ``Z`` in C^d.
+
+    `statistic` maps a ``(b, d)`` batch of draws to ``b`` values.
+    """
+    gen = philox_generator(seed)
+    acc = MomentAccumulator()
+    remaining = samples
+    while remaining > 0:
+        b = min(BATCH_SIZE, remaining)
+        remaining -= b
+        acc.update(statistic(sample_standard_complex_gaussian(gen, d, size=b)))
+    return EstimateResult(mean=acc.mean, std_error=acc.std_error, samples=samples, seed=seed)
+
+
+def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateResult:
+    """Unbiased Monte Carlo estimate of ``per(A)`` from its Gram factor.
 
     A zero Gram row makes the permanent exactly zero; that case returns
     the exact answer without sampling.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    _check_samples(samples)
     if np.any(factor.row_norms_sq <= 0.0):
-        mean = float("-inf") if log_domain else 0.0
-        return EstimateResult(mean=mean, std_error=0.0, samples=samples,
-                              seed=seed, log_domain=log_domain)
-
-    V = factor.matrix
-    d = factor.d
-    gen = RngStream(seed=seed, stream_id=stream_id).generator()
-    acc = MomentAccumulator()
-    remaining = samples
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        remaining -= b
-        z = sample_standard_complex_gaussian(gen, d, size=b)
-        y = z @ V.conj().T  # (b, n): row i is v_i^dagger Z, conjugated
-        mag = np.abs(y) ** 2
-        x = np.sum(np.log(mag), axis=1) if log_domain else np.prod(mag, axis=1)
-        acc.update(x)
-    return EstimateResult(mean=acc.mean, std_error=acc.std_error,
-                          samples=samples, seed=seed, log_domain=log_domain)
+        return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
+    Vh = factor.matrix.conj().T
+    # entry (b, i) of z @ Vh is v_i^dagger Z_b
+    return _sample_mean(lambda z: np.prod(np.abs(z @ Vh) ** 2, axis=1),
+                        factor.d, samples, seed)
 
 
-def calibrate_gamma(
-    samples: int,
-    seed: int,
-    *,
-    stream_id: int = 0,
-    batch_size: int = 1 << 16,
-) -> EstimateResult:
+def calibrate_gamma(samples: int, seed: int) -> EstimateResult:
     """Estimate ``E[log|g|^2]`` for a standard complex Gaussian ``g``.
 
     The exact value is ``-gamma`` (Euler-Mascheroni) with variance
     ``pi^2/6``; this doubles as an end-to-end check of the sampler and
     of the constant used in the lower bound.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    gen = RngStream(seed=seed, stream_id=stream_id).generator()
-    acc = MomentAccumulator()
-    remaining = samples
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        remaining -= b
-        z = sample_standard_complex_gaussian(gen, 1, size=b)
-        acc.update(np.log(np.abs(z[:, 0]) ** 2))
-    return EstimateResult(mean=acc.mean, std_error=acc.std_error,
-                          samples=samples, seed=seed, log_domain=True)
+    _check_samples(samples)
+    return _sample_mean(lambda z: np.log(np.abs(z[:, 0]) ** 2), 1, samples, seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from psdperm import GramFactor, gen_instance, gram_factor
+from psdperm import GramFactor, SolverOptions, bound, gen_instance, gram_factor
 
 
 def random_factor(n: int, d: int, seed: int) -> GramFactor:
@@ -26,3 +26,14 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
     g = gen.standard_normal((d, d, 2))
     H = g[..., 0] + 1j * g[..., 1]
     return (H + H.conj().T) / 2.0
+
+
+def newton_from_identity(factor: GramFactor):
+    """`solve`'s Newton driver and oracle choice, started at ``X0 = I``.
+
+    Returns ``(best, iterations, status, history)`` as `bound._newton`.
+    """
+    V = factor.matrix
+    n, d = V.shape
+    oracle = (bound._DualOracle if n < d * d else bound._PrimalOracle)(V)
+    return bound._newton(oracle, oracle.start(np.eye(d, dtype=complex)), SolverOptions())

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from psdperm import (
     GAMMA,
-    SolverOptions,
     apply_unitary,
     bound_permanent,
     calibrate_gamma,
@@ -33,7 +32,7 @@ from psdperm import (
     solve,
 )
 from psdperm.cli import EXIT_OK, main
-from helpers import random_factor, random_hermitian, random_pd
+from helpers import newton_from_identity, random_factor, random_hermitian, random_pd
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -85,11 +84,12 @@ def test_criterion_03_identity_closed_form():
     worst_x = 0.0
     for n in range(1, 11):
         factor = gram_factor(gen_instance(n, n, ensemble="identity"))
-        for opts in (None, SolverOptions(init_scale="identity")):
-            res = solve(factor, opts)
-            worst_phi = max(worst_phi, abs(res.phi - n * (2 * math.log(2) - 1)))
-            worst_x = max(worst_x,
-                          float(np.max(np.abs(res.x_star.matrix - 2 * np.eye(n)))))
+        # the default start is exactly X* = 2I; from I the solver must move
+        res = solve(factor)
+        best = newton_from_identity(factor)[0]
+        for phi, X in ((res.phi, res.x_star.matrix), (best.phi, best.x)):
+            worst_phi = max(worst_phi, abs(phi - n * (2 * math.log(2) - 1)))
+            worst_x = max(worst_x, float(np.max(np.abs(X - 2 * np.eye(n)))))
     ok = worst_phi <= 1e-8 and worst_x <= 1e-7
     verdict(3, "Phi(I_n) = n(2 ln 2 - 1), X* = 2I", ok,
             f"max |phi error| {worst_phi:.2e}, max |X* - 2I| {worst_x:.2e}")
@@ -103,9 +103,8 @@ def test_criterion_04_all_ones_closed_form_and_factorials():
     for n in range(1, 9):
         target = (n + 1) * math.log(n + 1) - n
         factor = gram_factor(gen_instance(n, 1, ensemble="all-ones"))
-        for opts in (None, SolverOptions(init_scale="identity")):
-            res = solve(factor, opts)
-            worst_phi = max(worst_phi, abs(res.phi - target))
+        for phi in (solve(factor).phi, newton_from_identity(factor)[0].phi):
+            worst_phi = max(worst_phi, abs(phi - target))
         fact = complex(math.factorial(n))
         J = np.ones((n, n))
         exact_ok = exact_ok and permanent_naive(J).value == fact

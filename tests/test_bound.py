@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdperm import bound
 from psdperm import (
@@ -20,10 +22,11 @@ from psdperm import (
     gradient,
     gram_factor,
     objective,
+    permanent_ryser,
     random_unitary,
     solve,
 )
-from helpers import random_factor, random_hermitian, random_pd
+from helpers import newton_from_identity, random_factor, random_hermitian, random_pd
 
 
 def factor_of(matrix):
@@ -31,7 +34,6 @@ def factor_of(matrix):
     return GramFactor(
         matrix=rows,
         row_norms_sq=np.sum(np.abs(rows) ** 2, axis=1),
-        kept_rows=tuple(range(rows.shape[0])),
     )
 
 
@@ -171,8 +173,8 @@ def test_solve_history_is_monotone():
 def test_solve_identity_init_agrees():
     factor = random_factor(7, 3, seed=8)
     a = solve(factor)
-    b = solve(factor, SolverOptions(init_scale="identity"))
-    assert a.converged and b.converged
+    b, _, status, _ = newton_from_identity(factor)
+    assert a.converged and status == "converged"
     assert a.phi == pytest.approx(b.phi, abs=1e-9)
 
 
@@ -259,26 +261,24 @@ def test_dual_value_bounds_phi_after_early_stop(n, d, seed):
         assert res.log_upper >= full.phi - 1e-12
 
 
-def test_solve_rejects_unknown_init():
-    with pytest.raises(ValueError):
-        solve(random_factor(4, 2, seed=0), SolverOptions(init_scale="zeros"))
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"grad_tol": 0.0},
         {"grad_tol": -1e-9},
-        {"armijo_c": 0.0},
-        {"armijo_c": 1.0},
-        {"backtrack_factor": 0.0},
-        {"backtrack_factor": 1.0},
         {"max_iters": 0},
     ],
 )
 def test_solver_options_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
+
+
+@pytest.mark.parametrize("grad_tol", [math.nan, math.inf])
+def test_solver_options_rejects_non_finite_grad_tol(grad_tol):
+    # grad_tol = inf would label the untouched starting point converged
+    with pytest.raises(ValueError):
+        SolverOptions(grad_tol=grad_tol)
 
 
 def test_solver_is_deterministic():
@@ -309,6 +309,44 @@ def test_unitary_invariance_small():
         for u_seed in range(3):
             rotated = solve(apply_unitary(factor, random_unitary(3, seed=u_seed)))
             assert abs(rotated.phi - phi) <= 1e-7
+
+
+# --------------------------------------------------------------- invariance
+
+
+@st.composite
+def instances(draw):
+    """A gaussian-gram instance with n <= 10, drawn as (n, d, seed)."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(1, n))
+    return gen_instance(n, d, seed=draw(st.integers(0, 2**32 - 1))).matrix
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), A=instances())
+def test_row_scaling_shifts_phi_and_scales_per(data, A):
+    # q_i scales by |d_i|^2 and nothing else moves, so Phi shifts by
+    # sum log|d_i|^2; per(D A D^H) = prod |d_i|^2 per(A) for any A
+    n = A.shape[0]
+    mags = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
+    D = mags * np.exp(1j * phases)
+    scaled = D[:, None] * A * D.conj()[None, :]
+    base, moved = bound_permanent(A), bound_permanent(scaled)
+    assert base.converged and moved.converged
+    assert abs(moved.phi - (base.phi + float(np.sum(np.log(mags**2))))) <= 1e-8
+    per, per_scaled = permanent_ryser(A).value, permanent_ryser(scaled).value
+    want = float(np.prod(mags**2)) * per
+    assert abs(per_scaled - want) <= 1e-10 * abs(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), A=instances())
+def test_permutation_leaves_phi_unchanged(data, A):
+    perm = data.draw(st.permutations(range(A.shape[0])))
+    base, moved = bound_permanent(A), bound_permanent(A[np.ix_(perm, perm)])
+    assert base.converged and moved.converged
+    assert abs(moved.phi - base.phi) <= 1e-8
 
 
 # ----------------------------------------------------------------- pipeline

@@ -224,6 +224,41 @@ def test_malformed_file_is_one_error_line(capsys, tmp_path, data):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--max-iters", "0"),
+    ("bound", "--grad-tol", "0"),
+    ("bound", "--grad-tol", "nan"),
+    ("bound", "--grad-tol", "inf"),
+    ("bound", "--rank-tol", "-1"),
+    ("bound", "--rank-tol", "nan"),
+    ("bound", "--rank-tol", "1"),
+    ("certify", "--mc-samples", "1"),
+    ("certify", "--mc-samples", "-3"),
+    ("estimate", "--mc-samples", "1"),
+    ("estimate", "--mc-samples", "0"),
+    ("bound", "--max-iters", "x"),
+])
+def test_out_of_range_flag_exits_two(capsys, tmp_path, argv):
+    path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
+    for argv in (("bound", "--max-iters", "1", "--grad-tol", "5e-324", "--rank-tol", "0"),
+                 ("certify", "--mc-samples", "0"), ("certify", "--mc-samples", "2"),
+                 ("estimate", "--mc-samples", "2")):
+        code, rep = run(capsys, argv[0], path, *argv[1:])
+        assert code == EXIT_OK, argv
+        assert rep["command"] == argv[0]
+
+
 def test_out_flag_writes_report(capsys, tmp_path):
     src = gen_file(capsys, tmp_path, "s.json", "--n", "3", "--d", "3",
                    "--ensemble", "identity")

@@ -44,7 +44,7 @@ def test_ones_is_factorial(per):
 
 @pytest.mark.parametrize("n", range(9, RYSER_LIMIT + 1))
 def test_ryser_ones_is_factorial_past_block(n):
-    # n - 1 > block_bits from n = 13 on: the blocked outer loop runs
+    # n - 1 > BLOCK_BITS = 11 from n = 13 on: the blocked outer loop runs
     expected = math.factorial(n)
     assert abs(permanent_ryser(np.ones((n, n))).value - expected) <= 1e-11 * expected
 
@@ -72,21 +72,6 @@ def test_oracles_agree_on_random_matrices(seed):
     a = permanent_naive(M).value
     b = permanent_ryser(M).value
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def test_ryser_block_sizes_agree():
-    M = rand_complex(12, 1234)
-    ref = permanent_ryser(M, block_bits=11).value
-    for bits in (1, 3, 7, 12):
-        alt = permanent_ryser(M, block_bits=bits).value
-        assert abs(alt - ref) <= 1e-11 * max(1.0, abs(ref))
-
-
-def test_ryser_rejects_bad_block_bits():
-    with pytest.raises(ValueError):
-        permanent_ryser(np.eye(2), block_bits=0)
-    with pytest.raises(ValueError):
-        permanent_ryser(np.eye(2), block_bits=21)
 
 
 def test_rank_one_closed_form():

@@ -1,5 +1,6 @@
 """Validation and Gram factorization tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from psdperm import (
     NotPSDError,
     NotSquareError,
     NotUnitaryError,
-    Tolerances,
+    ReconstructionError,
     ZeroMatrixError,
+    ZeroRowError,
     apply_unitary,
     gen_instance,
     gram_factor,
@@ -105,7 +107,7 @@ def test_zero_diagonal_row_is_small(seed):
     psd = validate_hermitian_psd(V @ V.conj().T)
     assert 2 in psd.zero_diagonal_indices
     lmax = float(psd.eigenvalues[0])
-    cap = math.sqrt(psd.tolerances.diag_tol * lmax)
+    cap = math.sqrt(gram.DIAG_TOL * lmax)
     for i in psd.zero_diagonal_indices:
         assert np.max(np.abs(psd.matrix[i])) <= cap
 
@@ -119,9 +121,14 @@ def test_validation_deterministic():
 
 
 def test_custom_tolerances_respected():
-    tol = Tolerances(rank_tol=1e-2)
-    psd = validate_hermitian_psd(np.diag([1.0, 1e-3]), tolerances=tol)
+    psd = validate_hermitian_psd(np.diag([1.0, 1e-3]), rank_tol=1e-2)
     assert psd.rank == 1
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf, -math.inf])
+def test_rank_tol_out_of_range_rejected(rank_tol):
+    with pytest.raises(ValueError, match="rank_tol"):
+        validate_hermitian_psd(np.eye(2), rank_tol=rank_tol)
 
 
 def test_gram_factor_scalar():
@@ -165,11 +172,18 @@ def test_gram_factor_zero_matrix():
 
 
 def test_gram_factor_drops_zero_rows():
+    # a zero diagonal entry forces per(A) = 0; the caller handles it first
     psd = validate_hermitian_psd([[1.0, 0.0], [0.0, 0.0]])
-    factor = gram_factor(psd)
-    assert factor.kept_rows == (0,)
-    assert factor.matrix.shape == (1, 1)
-    np.testing.assert_allclose(np.abs(factor.matrix), [[1.0]])
+    with pytest.raises(ZeroRowError):
+        gram_factor(psd)
+
+
+def test_gram_factor_rejects_nan_factor():
+    # a kept negative eigenvalue gives a NaN column, which must not pass as a factor
+    psd = validate_hermitian_psd(np.ones((2, 2)))
+    bad = dataclasses.replace(psd, eigenvalues=np.array([2.0, -1e-17]), rank=2)
+    with np.errstate(invalid="ignore"), pytest.raises(ReconstructionError):
+        gram_factor(bad)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -223,6 +223,10 @@ def int_digit_limit() -> int:
                  marks=pytest.mark.skipif(int_digit_limit() == 0,
                                           reason="no int-string digit limit")),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, None, id="nested-too-deeply"),
+    # the offset counts bytes: each "\u00e9" takes two, and CR LF is not folded to LF
+    pytest.param('{"metadata": {"label": "\u00e9\u00e9\u00e9\u00e9"}, x}'.encode(), 36,
+                 id="non-ascii-before-error"),
+    pytest.param(b'{"n": 1,\r\n\r\n x}', 13, id="crlf-before-error"),
 ])
 def test_unreadable_text_is_a_parse_error(tmp_path, data, offset):
     path = tmp_path / "bad.json"

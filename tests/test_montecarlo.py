@@ -1,4 +1,4 @@
-"""Monte Carlo estimator, RNG stream, and moment accumulator tests.
+"""Monte Carlo estimator, random generator, and moment accumulator tests.
 
 Statistical assertions use fixed seeds with 4-standard-error margins,
 so they are deterministic once a passing seed is frozen.
@@ -13,14 +13,15 @@ from psdperm import (
     GAMMA,
     GramFactor,
     MomentAccumulator,
-    RngStream,
     calibrate_gamma,
     estimate_permanent,
     gen_instance,
     gram_factor,
     permanent_ryser,
+    philox_generator,
     sample_standard_complex_gaussian,
 )
+from psdperm import montecarlo
 
 
 def factor_of(matrix):
@@ -28,57 +29,57 @@ def factor_of(matrix):
     return GramFactor(
         matrix=rows,
         row_norms_sq=np.sum(np.abs(rows) ** 2, axis=1),
-        kept_rows=tuple(range(rows.shape[0])),
     )
 
 
-# ------------------------------------------------------------------- stream
+# ---------------------------------------------------------------- generator
+
+
+def philox_draws(key, d, size):
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return sample_standard_complex_gaussian(gen, d, size=size)
 
 
 def test_stream_replay_is_exact():
-    a = sample_standard_complex_gaussian(RngStream(seed=5), 3, size=8)
-    b = sample_standard_complex_gaussian(RngStream(seed=5), 3, size=8)
+    a = sample_standard_complex_gaussian(philox_generator(5), 3, size=8)
+    b = sample_standard_complex_gaussian(philox_generator(5), 3, size=8)
     np.testing.assert_array_equal(a, b)
 
 
 def test_streams_differ_by_id_and_seed():
-    base = sample_standard_complex_gaussian(RngStream(seed=5), 2, size=4)
-    split = sample_standard_complex_gaussian(RngStream(seed=5).split(1), 2, size=4)
-    reseeded = sample_standard_complex_gaussian(RngStream(seed=6), 2, size=4)
-    assert not np.array_equal(base, split)
+    # the key is [seed mod 2^64, 0]: stream id 0 of the seed, and nothing else
+    base = sample_standard_complex_gaussian(philox_generator(5), 2, size=4)
+    np.testing.assert_array_equal(base, philox_draws([5, 0], 2, 4))
+    assert not np.array_equal(base, philox_draws([5, 1], 2, 4))
+    reseeded = sample_standard_complex_gaussian(philox_generator(6), 2, size=4)
     assert not np.array_equal(base, reseeded)
-
-
-def test_split_is_deterministic():
-    s = RngStream(seed=9)
-    assert s.split(3) == RngStream(seed=9, stream_id=3)
-
-
-def test_unknown_algorithm_rejected():
-    with pytest.raises(ValueError):
-        RngStream(seed=0, algorithm="mt19937").generator()
+    wrapped = sample_standard_complex_gaussian(philox_generator(5 + 2**64), 2, size=4)
+    np.testing.assert_array_equal(base, wrapped)
+    np.testing.assert_array_equal(
+        sample_standard_complex_gaussian(philox_generator(-1), 2, size=4),
+        philox_draws([2**64 - 1, 0], 2, 4))
 
 
 def test_draws_are_partition_invariant():
     # counter-based generator: one draw of 20 equals two draws of 10
-    gen = RngStream(seed=77).generator()
+    gen = philox_generator(77)
     whole = sample_standard_complex_gaussian(gen, 3, size=20)
-    gen2 = RngStream(seed=77).generator()
+    gen2 = philox_generator(77)
     first = sample_standard_complex_gaussian(gen2, 3, size=10)
     second = sample_standard_complex_gaussian(gen2, 3, size=10)
     np.testing.assert_array_equal(whole, np.concatenate([first, second]))
 
 
 def test_sampler_shapes():
-    one = sample_standard_complex_gaussian(RngStream(seed=0), 4)
+    one = sample_standard_complex_gaussian(philox_generator(0), 4)
     assert one.shape == (4,)
-    many = sample_standard_complex_gaussian(RngStream(seed=0), 4, size=7)
+    many = sample_standard_complex_gaussian(philox_generator(0), 4, size=7)
     assert many.shape == (7, 4)
     np.testing.assert_array_equal(one, many[0])
 
 
 def test_sampler_moments():
-    z = sample_standard_complex_gaussian(RngStream(seed=2024), 2, size=200_000)
+    z = sample_standard_complex_gaussian(philox_generator(2024), 2, size=200_000)
     m = z.shape[0]
     tol = 4.0 / math.sqrt(m)
     assert np.all(np.abs(z.mean(axis=0)) <= tol)
@@ -93,7 +94,7 @@ def test_sampler_moments():
 
 
 def test_accumulator_matches_numpy():
-    gen = RngStream(seed=4).generator()
+    gen = philox_generator(4)
     x = gen.standard_normal(1001) * 3.0 + 1.0
     acc = MomentAccumulator()
     acc.update(x)
@@ -101,39 +102,6 @@ def test_accumulator_matches_numpy():
     assert acc.mean == pytest.approx(float(x.mean()), rel=1e-14)
     assert acc.variance == pytest.approx(float(x.var(ddof=1)), rel=1e-12)
     assert acc.std_error == pytest.approx(float(x.std(ddof=1) / math.sqrt(1001)), rel=1e-12)
-
-
-def test_accumulator_merge_is_associative():
-    gen = RngStream(seed=8).generator()
-    chunks = [gen.standard_normal(k) for k in (17, 400, 3)]
-    accs = []
-    for c in chunks:
-        a = MomentAccumulator()
-        a.update(c)
-        accs.append(a)
-    left = accs[0].merge(accs[1]).merge(accs[2])
-    right = accs[0].merge(accs[1].merge(accs[2]))
-    whole = MomentAccumulator()
-    whole.update(np.concatenate(chunks))
-    for combo in (left, right):
-        assert combo.count == whole.count
-        assert combo.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert combo.variance == pytest.approx(whole.variance, rel=1e-12)
-
-
-def test_accumulator_update_equals_merge():
-    gen = RngStream(seed=15).generator()
-    x = gen.standard_normal(512)
-    a = MomentAccumulator()
-    a.update(x[:100])
-    a.update(x[100:])
-    b1, b2 = MomentAccumulator(), MomentAccumulator()
-    b1.update(x[:100])
-    b2.update(x[100:])
-    merged = b1.merge(b2)
-    assert a.count == merged.count
-    assert a.mean == merged.mean
-    assert a.sum_sq_dev == merged.sum_sq_dev
 
 
 def test_accumulator_edge_cases():
@@ -187,38 +155,30 @@ def test_estimate_is_deterministic():
 
 
 def test_estimate_batch_size_consistency():
+    # three batches of the sampling loop agree, to roundoff, with one pass
+    # over the same draws (Philox draws do not depend on the batching)
     factor = gram_factor(gen_instance(3, 3, seed=6, ensemble="identity"))
-    a = estimate_permanent(factor, 40_000, seed=4, batch_size=1 << 16)
-    b = estimate_permanent(factor, 40_000, seed=4, batch_size=1000)
-    # same draws, different accumulation grouping: equal to roundoff
-    assert a.mean == pytest.approx(b.mean, rel=1e-10)
-    assert a.std_error == pytest.approx(b.std_error, rel=1e-8)
+    samples = 2 * montecarlo.BATCH_SIZE + 1000
+    res = estimate_permanent(factor, samples, seed=4)
+    z = sample_standard_complex_gaussian(philox_generator(4), 3, size=samples)
+    x = np.prod(np.abs(z @ factor.matrix.conj().T) ** 2, axis=1)
+    assert res.mean == pytest.approx(float(x.mean()), rel=1e-10)
+    assert res.std_error == pytest.approx(float(x.std(ddof=1)) / math.sqrt(samples), rel=1e-8)
 
 
 def test_estimate_zero_row_short_circuits():
     bad = factor_of([[1.0], [0.0]])
     res = estimate_permanent(bad, 1000, seed=0)
     assert res.mean == 0.0 and res.std_error == 0.0
-    logres = estimate_permanent(bad, 1000, seed=0, log_domain=True)
-    assert logres.mean == float("-inf")
 
 
 def test_estimate_validates_arguments():
     factor = factor_of([[1.0]])
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError):
+            estimate_permanent(factor, samples, seed=0)
     with pytest.raises(ValueError):
-        estimate_permanent(factor, 1, seed=0)
-    with pytest.raises(ValueError):
-        estimate_permanent(factor, 100, seed=0, batch_size=0)
-
-
-def test_log_domain_mode():
-    # identity factor: statistic is sum_i log|z_i|^2 with mean -n*gamma
-    factor = gram_factor(gen_instance(3, 3, ensemble="identity"))
-    res = estimate_permanent(factor, 200_000, seed=11, log_domain=True)
-    assert res.log_domain
-    assert abs(res.mean - (-3 * GAMMA)) <= 4 * res.std_error
-    expected_se = math.sqrt(3 * (math.pi**2 / 6) / 200_000)
-    assert res.std_error == pytest.approx(expected_se, rel=0.05)
+        estimate_permanent(factor_of([[1.0], [0.0]]), 1, seed=0)
 
 
 def test_relative_std_error():
@@ -245,7 +205,6 @@ def test_variance_grows_with_n():
 
 def test_calibrate_gamma_hits_constant():
     res = calibrate_gamma(200_000, seed=0)
-    assert res.log_domain
     assert abs(res.mean + GAMMA) <= 4 * res.std_error
     # known variance pi^2/6 fixes the standard error scale
     expected_se = math.sqrt((math.pi**2 / 6) / 200_000)
