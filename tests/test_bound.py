@@ -266,6 +266,10 @@ def test_dual_value_bounds_phi_after_early_stop(n, d, seed):
     [
         {"grad_tol": 0.0},
         {"grad_tol": -1e-9},
+        {"grad_tol": -0.0},
+        {"grad_tol": -math.inf},
+        {"grad_tol": 0.0, "max_iters": 0},
+        {"max_iters": -1},
         {"max_iters": 0},
     ],
 )
