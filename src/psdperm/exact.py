@@ -23,7 +23,7 @@ RYSER_LIMIT = 22
 
 #: Ryser sums the subsets of its low ``BLOCK_BITS`` columns as one
 #: ``(n, 2^BLOCK_BITS)`` array per subset of the other columns.
-BLOCK_BITS = 11
+BLOCK_BITS = 13
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ def permanent_ryser(matrix) -> ExactResult:
 
     m = n - 1
     b = min(BLOCK_BITS, m)
-    lo = _gray_sums(M[:, :b]) + (M[:, m] - 0.5 * M.sum(axis=1))[:, None]
+    lo = _gray_sums(M[:, :b])
+    lo += (M[:, m] - 0.5 * M.sum(axis=1))[:, None]
 
     hi_sum = np.zeros(n, dtype=complex)
     prod, term = np.empty((2, 1 << b), dtype=complex)

@@ -251,7 +251,9 @@ def gram_factor(psd: HermitianPSD) -> GramFactor:
     ReconstructionError
         If ``V V^dagger`` fails to match the source within `RECON_TOL`
         (relative Frobenius), or the row norms disagree with the
-        diagonal; NaN in the factor fails both checks.
+        diagonal; NaN in the factor fails both checks.  When the rank
+        cutoff truncated the factor, the message says how many
+        eigenvalues it dropped.
     """
     if psd.rank == 0:
         raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
@@ -269,9 +271,15 @@ def gram_factor(psd: HermitianPSD) -> GramFactor:
     bound = RECON_TOL * max(1.0, ref_norm)
     err = float(np.linalg.norm(recon - A))
     if not err <= bound:
+        dropped = psd.n - d
+        cutoff = (
+            f"; the rank cutoff dropped {dropped} of {psd.n} eigenvalues, "
+            "and a smaller rank_tol (--rank-tol) keeps more of them"
+            if dropped else ""
+        )
         raise ReconstructionError(
             f"||V V^H - A||_F = {err:.3e} exceeds {RECON_TOL:.1e} "
-            f"* max(1, {ref_norm:.3e})"
+            f"* max(1, {ref_norm:.3e}){cutoff}"
         )
 
     row_norms_sq = np.sum(np.abs(V) ** 2, axis=1)

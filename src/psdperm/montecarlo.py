@@ -13,8 +13,12 @@ bound closes; the estimator is kept as an independent statistical check
 at small ``n`` and as the calibration tool for ``gamma`` itself.
 
 Randomness comes from the counter-based Philox generator keyed by the
-seed, so results are reproducible bit for bit across runs.  Draws are
-taken and averaged in batches of `BATCH_SIZE` to bound memory.
+seed, so results are reproducible bit for bit across runs.  The sampling
+loop fills one ``(BATCH_SIZE, d, 2)`` buffer of real standard normals at
+a time and hands the raw draws to a statistic that works in real
+arithmetic in buffers of its own, so memory stays fixed whatever the
+sample count: about ``b * (2d + 2n) * 8`` bytes per batch of ``b`` draws
+for the permanent estimator, 3.9 MB at n = 22, d = 8.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _SQRT2 = np.sqrt(2.0)
 
-#: Gaussian draws held in memory at once by the sampling loop.
-BATCH_SIZE = 1 << 16
+#: Gaussian draws held in memory at once by the sampling loop; a batch
+#: of the permanent estimator takes ``BATCH_SIZE * (2d + 2n) * 8`` bytes
+#: (3.9 MB at n = 22, d = 8).
+BATCH_SIZE = 1 << 13
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -124,18 +130,55 @@ def _check_samples(samples: int) -> None:
 
 
 def _sample_mean(statistic, d: int, samples: int, seed: int) -> EstimateResult:
-    """Mean and standard error of ``statistic(Z)`` over `samples` draws of ``Z`` in C^d.
+    """Mean and standard error of ``statistic`` over `samples` draws of ``Z`` in C^d.
 
-    `statistic` maps a ``(b, d)`` batch of draws to ``b`` values.
+    `statistic` maps a ``(b, d, 2)`` batch of real standard normals
+    ``g``, the draws ``Z = (g[..., 0] + i g[..., 1]) / sqrt(2)`` of
+    `sample_standard_complex_gaussian`, to ``b`` values.  The batch is a
+    view of one buffer that the next batch overwrites.
     """
     gen = philox_generator(seed)
     acc = MomentAccumulator()
+    draws = np.empty((min(BATCH_SIZE, samples), d, 2))
     remaining = samples
     while remaining > 0:
         b = min(BATCH_SIZE, remaining)
         remaining -= b
-        acc.update(statistic(sample_standard_complex_gaussian(gen, d, size=b)))
+        batch = draws[:b]
+        gen.standard_normal(out=batch)
+        acc.update(statistic(batch))
     return EstimateResult(mean=acc.mean, std_error=acc.std_error, samples=samples, seed=seed)
+
+
+def _row_product_statistic(rows: np.ndarray, batch: int):
+    """The statistic ``prod_i |v_i^dagger Z|^2`` for the rows ``v_i`` of `rows`.
+
+    Builds the real ``(2n, 2d)`` matrix ``R`` with ``R[i] . g`` and
+    ``R[n + i] . g`` the real and imaginary parts of ``v_i^dagger Z`` for
+    ``Z`` drawn as ``g``, so one ``matmul`` per batch into a ``(2n, b)``
+    buffer, sized for at most `batch` draws, gives all n factors.
+    """
+    n, d = rows.shape
+    c = rows.conj() / _SQRT2
+    R = np.empty((2, n, d, 2))
+    # (c.real + i c.imag)(g0 + i g1) = (c.real g0 - c.imag g1) + i (c.imag g0 + c.real g1)
+    R[0, :, :, 0], R[0, :, :, 1] = c.real, -c.imag
+    R[1, :, :, 0], R[1, :, :, 1] = c.imag, c.real
+    R = R.reshape(2 * n, 2 * d)
+    buf = np.empty(2 * n * batch)
+
+    def statistic(g: np.ndarray) -> np.ndarray:
+        b = g.shape[0]
+        w = buf[: 2 * n * b].reshape(2 * n, b)
+        np.matmul(R, g.reshape(b, 2 * d).T, out=w)
+        np.square(w, out=w)
+        prod = w[0]
+        np.add(w[:n], w[n:], out=w[:n])
+        for i in range(1, n):
+            np.multiply(prod, w[i], out=prod)
+        return prod
+
+    return statistic
 
 
 def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateResult:
@@ -147,10 +190,8 @@ def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateR
     _check_samples(samples)
     if np.any(factor.row_norms_sq <= 0.0):
         return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
-    Vh = factor.matrix.conj().T
-    # entry (b, i) of z @ Vh is v_i^dagger Z_b
-    return _sample_mean(lambda z: np.prod(np.abs(z @ Vh) ** 2, axis=1),
-                        factor.d, samples, seed)
+    statistic = _row_product_statistic(factor.matrix, min(BATCH_SIZE, samples))
+    return _sample_mean(statistic, factor.d, samples, seed)
 
 
 def calibrate_gamma(samples: int, seed: int) -> EstimateResult:
@@ -161,4 +202,5 @@ def calibrate_gamma(samples: int, seed: int) -> EstimateResult:
     of the constant used in the lower bound.
     """
     _check_samples(samples)
-    return _sample_mean(lambda z: np.log(np.abs(z[:, 0]) ** 2), 1, samples, seed)
+    # |g|^2 = (g0^2 + g1^2) / 2 for g = (g0 + i g1) / sqrt(2)
+    return _sample_mean(lambda g: np.log(np.square(g[:, 0]).sum(axis=1) / 2.0), 1, samples, seed)

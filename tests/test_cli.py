@@ -259,6 +259,23 @@ def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
         assert rep["command"] == argv[0]
 
 
+def test_rank_cutoff_that_breaks_the_factor_is_named(capsys, tmp_path):
+    # --rank-tol 0.5 clips real eigenvalues, so the truncated factor fails
+    # the reconstruction check; the error names the cutoff as the cause
+    path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
+    assert main(["bound", path, "--rank-tol", "0.5"]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ||V V^H - A||_F"), err
+    assert "rank cutoff dropped 5 of 6 eigenvalues" in err
+    assert "--rank-tol" in err
+    assert "Traceback" not in err
+    code, rep = run(capsys, "bound", path, "--rank-tol", "0.01")
+    assert code == EXIT_OK and rep["d"] == 3
+
+
 def test_out_flag_writes_report(capsys, tmp_path):
     src = gen_file(capsys, tmp_path, "s.json", "--n", "3", "--d", "3",
                    "--ensemble", "identity")

@@ -44,7 +44,7 @@ def test_ones_is_factorial(per):
 
 @pytest.mark.parametrize("n", range(9, RYSER_LIMIT + 1))
 def test_ryser_ones_is_factorial_past_block(n):
-    # n - 1 > BLOCK_BITS = 11 from n = 13 on: the blocked outer loop runs
+    # n - 1 > BLOCK_BITS = 13 from n = 15 on, so n = 15...22 run the blocked outer loop
     expected = math.factorial(n)
     assert abs(permanent_ryser(np.ones((n, n))).value - expected) <= 1e-11 * expected
 

@@ -5,6 +5,7 @@ so they are deterministic once a passing seed is frozen.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_sampler_shapes():
     many = sample_standard_complex_gaussian(philox_generator(0), 4, size=7)
     assert many.shape == (7, 4)
     np.testing.assert_array_equal(one, many[0])
+
+
+def test_sampler_draws_are_pinned():
+    # every generated instance draws through this sampler, so a change to
+    # the draws would change every gen_instance output
+    z = sample_standard_complex_gaussian(philox_generator(5), 3, size=2)
+    expected = np.array([
+        [1.0166590616575204 + 0.5912173939155116j,
+         0.8357093518739286 + 1.3339050704329591j,
+         2.223585261400822 - 0.16127162346475227j],
+        [-1.1945630441742874 + 0.6100135166318004j,
+         -0.8025653469210334 + 0.043939712975886766j,
+         -0.6081437866583768 + 0.9948026538304969j],
+    ])
+    np.testing.assert_array_equal(z, expected)
 
 
 def test_sampler_moments():
@@ -164,6 +180,44 @@ def test_estimate_batch_size_consistency():
     x = np.prod(np.abs(z @ factor.matrix.conj().T) ** 2, axis=1)
     assert res.mean == pytest.approx(float(x.mean()), rel=1e-10)
     assert res.std_error == pytest.approx(float(x.std(ddof=1)) / math.sqrt(samples), rel=1e-8)
+
+
+@pytest.mark.parametrize("n,d", [(22, 8), (12, 3), (5, 1)])
+def test_row_product_statistic_matches_complex_product(n, d):
+    # the real-arithmetic statistic, fed by the sampling loop, against the
+    # complex product on the same draws; the last batch is partial
+    rows = gram_factor(gen_instance(n, d, seed=n)).matrix
+    samples = montecarlo.BATCH_SIZE + 1234
+    statistic = montecarlo._row_product_statistic(rows, montecarlo.BATCH_SIZE)
+    seen = []
+
+    def recording(g):
+        x = statistic(g)
+        seen.append(x.copy())
+        return x
+
+    montecarlo._sample_mean(recording, d, samples, seed=7)
+    assert [len(x) for x in seen] == [montecarlo.BATCH_SIZE, 1234]
+    z = sample_standard_complex_gaussian(philox_generator(7), d, size=samples)
+    expected = np.prod(np.abs(z @ rows.conj().T) ** 2, axis=1)
+    np.testing.assert_allclose(np.concatenate(seen), expected, rtol=1e-12, atol=0)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_does_not_grow_with_samples():
+    factor = gram_factor(gen_instance(22, 8, seed=3))
+    small = _traced_peak(estimate_permanent, factor, 20_000, 1)
+    large = _traced_peak(estimate_permanent, factor, 200_000, 1)
+    assert large < 8e6
+    assert large <= 1.5 * small
 
 
 def test_estimate_zero_row_short_circuits():
