@@ -172,8 +172,8 @@ def _row_product_statistic(rows: np.ndarray, batch: int):
         w = buf[: 2 * n * b].reshape(2 * n, b)
         np.matmul(R, g.reshape(b, 2 * d).T, out=w)
         np.square(w, out=w)
-        prod = w[0]
         np.add(w[:n], w[n:], out=w[:n])
+        prod = w[0]
         for i in range(1, n):
             np.multiply(prod, w[i], out=prod)
         return prod
