@@ -15,11 +15,13 @@ where ``gamma`` is the Euler-Mascheroni constant.  The maximizer obeys
 
 Two Newton systems compute ``Phi(A)``; the shape alone picks one.
 
-* Primal: Newton on ``-phi`` over the ``d^2`` real coordinates of ``X``
-  (an orthonormal basis: diagonal entries, then sqrt(2) * real and
-  imaginary parts of the upper triangle).  The Hessian is ``d^2 x d^2``:
-  one iteration costs ``O(n d^4)`` to assemble it and ``O(d^6)`` to
-  factor it.
+* Primal: Newton on ``-phi`` over Hermitian ``X``.  The Newton system
+  ``H[D] = G``, with ``H[D] = sum_i v_i v_i^dagger (v_i^dagger D v_i)/q_i^2
+  + X^{-1} D X^{-1}``, is solved by conjugate gradients on Hermitian
+  ``d x d`` matrices, preconditioned by ``R -> X R X``, with an
+  inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982).  A
+  CG step costs ``O(n d^2 + d^3)``, and a Newton step takes at most
+  ``n + 1`` of them; no ``d^2 x d^2`` matrix is formed.
 * Dual: the identity ``log q = min_{t>0} (t q - log t - 1)`` applied to
   each row turns the maximization into the convex program
 
@@ -31,11 +33,12 @@ Two Newton systems compute ``Phi(A)``; the shape alone picks one.
   modulus), so one iteration costs ``O(n d^2 + n^2 d + n^3)``.  The
   primal point of ``t`` is ``X = S^{-1}``.
 
-`solve` uses the dual when ``n < d^2``, the size of the two Newton
-systems, and the primal otherwise.  Both run through one damped Newton
-driver: Cholesky checks keep the iterates feasible (``X`` positive
-definite in the primal; ``t > 0`` and ``S`` positive definite in the
-dual), and a step is accepted by the Armijo rule with a slack of
+`solve` uses the dual when ``n < d^2`` and the primal otherwise: the
+dual was measured faster on wide shapes, and no crossover measurement
+moves the rule yet.  Both run through one damped Newton driver:
+Cholesky checks keep the iterates feasible (``X`` positive definite in
+the primal; ``t > 0`` and ``S`` positive definite in the dual), and a
+step is accepted by the Armijo rule with a slack of
 ``16 eps max(1, |f|)``, the floating point resolution of the objective,
 so that Newton steps near the optimum whose predicted gain is below
 roundoff are still taken.  On either path convergence is judged by the
@@ -194,6 +197,11 @@ class BoundResult:
     d: int
 
 
+def _hermitian(M: np.ndarray) -> np.ndarray:
+    """``(M + M^dagger)/2``: rounding-level asymmetry removed, exactly Hermitian."""
+    return (M + M.conj().T) / 2.0
+
+
 def _quadratic_forms(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """q_i = v_i^dagger X v_i (real for Hermitian X)."""
     return np.real(np.einsum("ij,ij->i", V.conj(), V @ X.T))
@@ -250,69 +258,13 @@ def _gradient_parts(V, X, chol) -> tuple:
     q = _quadratic_forms(V, X)
     Xinv = _inverse_from_chol(chol)
     G = (V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(X.shape[0])
-    return q, Xinv, (G + G.conj().T) / 2.0
+    return q, Xinv, _hermitian(G)
 
 
 def _inverse_from_chol(chol) -> np.ndarray:
     """``(L L^dagger)^{-1} = L^{-dagger} L^{-1}`` from its lower Cholesky factor."""
     Linv = np.linalg.inv(chol)
-    X = Linv.conj().T @ Linv
-    return (X + X.conj().T) / 2.0
-
-
-def _herm_to_real_batch(Hs: np.ndarray) -> np.ndarray:
-    """Real coordinates of each Hermitian matrix in a stack of shape (m, d, d)."""
-    d = Hs.shape[1]
-    idx = np.arange(d)
-    iu, ju = np.triu_indices(d, k=1)
-    return np.concatenate(
-        [
-            np.real(Hs[:, idx, idx]),
-            np.sqrt(2.0) * np.real(Hs[:, iu, ju]),
-            np.sqrt(2.0) * np.imag(Hs[:, iu, ju]),
-        ],
-        axis=1,
-    )
-
-
-def _real_to_herm(h: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of `_herm_to_real_batch` for one matrix."""
-    iu, ju = np.triu_indices(d, k=1)
-    H = np.zeros((d, d), dtype=complex)
-    H[np.arange(d), np.arange(d)] = h[:d]
-    m = d * (d - 1) // 2
-    off = (h[d : d + m] + 1j * h[d + m :]) / np.sqrt(2.0)
-    H[iu, ju] = off
-    H[ju, iu] = off.conj()
-    return H
-
-
-def _negative_hessian(V: np.ndarray, q: np.ndarray, Xinv: np.ndarray) -> np.ndarray:
-    """Matrix of ``-Hess phi`` in the orthonormal real basis.
-
-    The log-term block is ``sum_i p_i p_i^T / q_i^2`` with
-    ``p_i = coords(v_i v_i^dagger)``; the log-det block maps the basis
-    element ``E`` to ``X^{-1} E X^{-1}``, assembled column by column
-    from outer products of the columns of ``X^{-1}``.  Both blocks are
-    symmetric PSD, and the sum is positive definite on the feasible set.
-    """
-    d = Xinv.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-
-    P = _herm_to_real_batch(np.einsum("ia,ib->iab", V, V.conj()))
-    Pw = P / q[:, None]
-    A = Pw.T @ Pw
-
-    S = Xinv  # columns s_k
-    diag_block = np.einsum("ik,jk->kij", S, S.conj())
-    SI = S[:, iu]
-    SJ = S[:, ju]
-    cross = np.einsum("ip,jp->pij", SI, SJ.conj())
-    cross_t = np.einsum("ip,jp->pij", SJ, SI.conj())
-    re_block = (cross + cross_t) / np.sqrt(2.0)
-    im_block = 1j * (cross - cross_t) / np.sqrt(2.0)
-    K = _herm_to_real_batch(np.concatenate([diag_block, re_block, im_block])).T
-    return A + K
+    return _hermitian(Linv.conj().T @ Linv)
 
 
 def _try_chol(X: np.ndarray) -> np.ndarray | None:
@@ -324,8 +276,7 @@ def _try_chol(X: np.ndarray) -> np.ndarray | None:
 
 def _dual_slack(V: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``S(t) = I - sum_i t_i v_i v_i^dagger``, exactly Hermitian."""
-    S = np.eye(V.shape[1]) - (V.T * t) @ V.conj()
-    return (S + S.conj().T) / 2.0
+    return _hermitian(np.eye(V.shape[1]) - (V.T * t) @ V.conj())
 
 
 def _dual_objective(t: np.ndarray, chol: np.ndarray) -> float:
@@ -341,7 +292,7 @@ class _Iterate:
     value and gradient there of the function the oracle minimizes.  `x`,
     `phi` and `grad_norm` describe the primal point ``X`` of `z`: the
     primal objective there and the Frobenius norm of `gradient` there.
-    `aux` is what the oracle's Hessian reuses.
+    `aux` is what the oracle's `direction` reuses.
     """
 
     z: np.ndarray
@@ -354,28 +305,58 @@ class _Iterate:
 
 
 class _PrimalOracle:
-    """``-phi`` over the ``d^2`` real coordinates of ``X``."""
+    """``-phi`` over Hermitian ``X``, with Newton directions by preconditioned CG."""
 
     def __init__(self, V: np.ndarray):
         self.V = V
-        self.d = V.shape[1]
 
     def start(self, X0: np.ndarray) -> np.ndarray:
-        return _herm_to_real_batch(X0[None])[0]
+        return X0
 
-    def pd_matrix(self, z):
-        return _real_to_herm(z, self.d)
+    def pd_matrix(self, X):
+        return X
 
-    def value(self, z, X, chol) -> float:
+    def value(self, X, _, chol) -> float:
         return -_objective_from_parts(_quadratic_forms(self.V, X), X, chol)
 
-    def iterate(self, z, X, chol, f) -> _Iterate:
+    def iterate(self, X, _, chol, f) -> _Iterate:
         q, Xinv, G = _gradient_parts(self.V, X, chol)
-        return _Iterate(z=z, f=f, grad=-_herm_to_real_batch(G[None])[0], x=X,
-                        phi=-f, grad_norm=float(np.linalg.norm(G)), aux=(q, Xinv))
+        return _Iterate(z=X, f=f, grad=-G, x=X, phi=-f,
+                        grad_norm=float(np.linalg.norm(G)), aux=(q, Xinv))
 
-    def hessian(self, it: _Iterate) -> np.ndarray:
-        return _negative_hessian(self.V, *it.aux)
+    def apply_hessian(self, it: _Iterate, D: np.ndarray) -> np.ndarray:
+        """``-Hess phi [D] = sum_i v_i v_i^dagger (v_i^dagger D v_i)/q_i^2 + X^{-1} D X^{-1}``."""
+        V = self.V
+        q, Xinv = it.aux
+        return _hermitian((V.T * (_quadratic_forms(V, D) / q**2)) @ V.conj() + Xinv @ D @ Xinv)
+
+    def direction(self, it: _Iterate) -> np.ndarray:
+        """Solve ``H[D] = G`` by CG over Hermitian ``D``, preconditioned by ``R -> X R X``.
+
+        Preconditioned, `apply_hessian` is the identity plus ``n`` unit
+        rank-ones, so exact arithmetic ends within ``n + 1`` steps.  CG
+        starts from ``D = 0`` and stops once the residual is at most
+        ``min(0.5, |G|) |G|``, an inexact-Newton forcing term that keeps
+        the outer convergence quadratic.  Each step costs
+        ``O(n d^2 + d^3)``.
+        """
+        X = it.x
+        R = -it.grad
+        tol = min(0.5, it.grad_norm) * it.grad_norm
+        D = np.zeros_like(R)
+        P = Z = _hermitian(X @ R @ X)
+        rz = np.vdot(R, Z).real
+        for _ in range(self.V.shape[0] + 1):
+            HP = self.apply_hessian(it, P)
+            alpha = rz / np.vdot(P, HP).real
+            D = D + alpha * P
+            R = R - alpha * HP
+            if np.linalg.norm(R) <= tol:
+                break
+            Z = _hermitian(X @ R @ X)
+            rz, rz_old = np.vdot(R, Z).real, rz
+            P = Z + (rz / rz_old) * P
+        return D
 
     def dual_value(self, it: _Iterate) -> float:
         t = 1.0 / it.aux[0]
@@ -411,9 +392,9 @@ class _DualOracle:
                         phi=_objective_from_parts(q, X, x_chol),
                         grad_norm=float(np.linalg.norm(G)), aux=V.conj() @ (X @ V.T))
 
-    def hessian(self, it: _Iterate) -> np.ndarray:
-        # |K|^2 entrywise, K_ij = v_i^H S^{-1} v_j, plus the -sum log t term
-        return np.abs(it.aux) ** 2 + np.diag(1.0 / it.z**2)
+    def direction(self, it: _Iterate) -> np.ndarray:
+        # Hessian |K|^2 entrywise, K_ij = v_i^H S^{-1} v_j, plus the -sum log t term
+        return np.linalg.solve(np.abs(it.aux) ** 2 + np.diag(1.0 / it.z**2), -it.grad)
 
     def dual_value(self, it: _Iterate) -> float:
         return it.f
@@ -426,7 +407,10 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
     positive definiteness makes `z` feasible (None when `z` is outside
     the domain for another reason), ``value(z, M, chol)`` given that
     matrix and its Cholesky factor, ``iterate(z, M, chol, f)``, which
-    builds an `_Iterate`, ``hessian(it)`` and ``dual_value(it)``.
+    builds an `_Iterate`, ``direction(it)``, the Newton step (a dense
+    solve in the dual, preconditioned CG in the primal), and
+    ``dual_value(it)``.  Gradients and steps may be vectors or Hermitian
+    matrices; their inner product is ``Re vdot``.
 
     Returns ``(best, iterations, status, history)``: `best` is the
     iterate with the largest primal objective, replaced by any later one
@@ -446,12 +430,12 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
         # is singular or the direction does not descend.
         g = it.grad
         try:
-            delta = -np.linalg.solve(oracle.hessian(it), g)
+            delta = oracle.direction(it)
         except np.linalg.LinAlgError:
             delta = None
-        if delta is None or not np.all(np.isfinite(delta)) or float(g @ delta) >= 0.0:
+        if delta is None or not np.all(np.isfinite(delta)) or np.vdot(g, delta).real >= 0.0:
             delta = -g
-        slope = float(g @ delta)
+        slope = float(np.vdot(g, delta).real)
         # Armijo, with the objective's rounding resolution as slack so that
         # steps whose predicted gain is below roundoff are still taken.
         slack = 16.0 * _EPS * max(1.0, abs(it.f))

@@ -1,8 +1,9 @@
 """Command-line harness: generate, bound, certify, estimate, selfcheck.
 
 Reports are JSON on stdout; logs and errors go to stderr.  Exit codes:
-0 success, 2 invalid input, 3 sandwich violation or failed self-check
-(either one signals a bug, the bound is unconditional), 4 size guard.
+0 success, 2 invalid input, 3 sandwich violation (a zero claim that
+Ryser refutes included) or failed self-check (either one signals a bug,
+the bound is unconditional), 4 size guard.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import __version__
 from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
-from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
+from .gram import DIAG_TOL, RANK_TOL, gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
     InstanceFile,
@@ -128,8 +129,9 @@ def cmd_pipeline(args) -> int:
     and the sandwich verdict, and ``estimate`` (or ``certify
     --mc-samples``) runs Monte Carlo.  A zero diagonal entry forces
     ``per(A) = 0``: the report then carries `zero_diagonal_result`, and
-    factor, solve and Monte Carlo are skipped.  Ryser still runs as a
-    cross-check; for a true zero it returns exactly 0.
+    factor, solve and Monte Carlo are skipped.  ``certify`` still runs
+    Ryser as a cross-check: for a true zero it returns exactly 0, and any
+    other value fails the check (exit 3).
     """
     verb = args.command
     timings: dict = {}
@@ -165,8 +167,12 @@ def cmd_pipeline(args) -> int:
         exact = _timed(timings, "exact", permanent_ryser, psd.matrix)
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
-        report.sandwich_ok = zero or bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
-                                          <= res.log_upper + SANDWICH_SLACK)
+        if zero:
+            # a zero claim stands only if Ryser agrees exactly
+            report.sandwich_ok = exact.value == 0
+        else:
+            report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
+                                      <= res.log_upper + SANDWICH_SLACK)
 
     if verb == "estimate" and zero:
         report.mc_mean = report.mc_std_error = 0.0
@@ -185,8 +191,12 @@ def cmd_pipeline(args) -> int:
 
     _emit(report.to_dict(), args.out)
     if report.sandwich_ok is False:
-        _log(f"error: sandwich violated: log_per={exact.log_abs!r} not in "
-             f"[{res.log_lower!r}, {res.log_upper!r}] (slack {SANDWICH_SLACK})")
+        if zero:
+            _log(f"error: diagonal entries {list(psd.zero_diagonal_indices)} were taken as "
+                 f"zeros (A_ii <= {DIAG_TOL}), but Ryser gives log_per={exact.log_abs!r}")
+        else:
+            _log(f"error: sandwich violated: log_per={exact.log_abs!r} not in "
+                 f"[{res.log_lower!r}, {res.log_upper!r}] (slack {SANDWICH_SLACK})")
         return EXIT_SANDWICH_VIOLATION
     return EXIT_OK
 

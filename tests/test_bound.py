@@ -216,11 +216,84 @@ def test_primal_and_dual_oracles_agree(n, d):
     assert float(np.linalg.norm(gradient(factor, res.x_star))) == res.grad_norm
 
 
+def hard_factor(kind, n, d, seed):
+    """A complex gaussian n x d factor made ill-conditioned in one of three ways."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 55], dtype=np.uint64)))
+    g = gen.standard_normal((n, d, 2))
+    V = (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2.0)
+    if kind == "scaled-columns":
+        V = V * np.logspace(0.0, -3.0, d)
+    elif kind == "near-duplicate-rows":
+        V[1::2] = V[0::2] + 1e-6 * V[1::2]
+    elif kind == "half-near-axis":
+        V[: n // 2] *= 1e-3
+        V[: n // 2, 0] = 1.0
+    return factor_of(V)
+
+
+@pytest.mark.parametrize("kind", ["scaled-columns", "near-duplicate-rows", "half-near-axis"])
+@pytest.mark.parametrize("n, d", [(60, 8), (100, 8)])
+def test_primal_and_dual_oracles_agree_on_hard_factors(kind, n, d):
+    factor = hard_factor(kind, n, d, seed=n)
+    phis = []
+    for oracle_cls in (bound._PrimalOracle, bound._DualOracle):
+        best, _, status, _ = _run_oracle(oracle_cls, factor)
+        assert status == "converged"
+        phis.append(best.phi)
+    assert abs(phis[0] - phis[1]) <= 1e-10
+
+
+def _primal_iterate(factor, X):
+    oracle = bound._PrimalOracle(factor.matrix)
+    chol = np.linalg.cholesky(X)
+    return oracle, oracle.iterate(X, X, chol, oracle.value(X, X, chol))
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_primal_hessian_product_is_minus_gradient_difference(d):
+    factor = random_factor(2 * d + 3, d, seed=d)
+    X = PDPoint.from_matrix(random_pd(d, seed=d)).matrix
+    D = random_hermitian(d, seed=d)
+    oracle, it = _primal_iterate(factor, X)
+    eps = 1e-5
+    want = -(gradient(factor, X + eps * D) - gradient(factor, X - eps * D)) / (2 * eps)
+    got = oracle.apply_hessian(it, D)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_primal_direction_meets_forcing_tolerance_and_descends(d):
+    factor = random_factor(2 * d + 3, d, seed=d)
+    X = PDPoint.from_matrix(random_pd(d, seed=d + 50)).matrix
+    oracle, it = _primal_iterate(factor, X)
+    G = gradient(factor, X)
+    np.testing.assert_array_equal(it.grad, -G)
+    D = oracle.direction(it)
+    g = float(np.linalg.norm(G))
+    residual = float(np.linalg.norm(oracle.apply_hessian(it, D) - G))
+    assert residual <= min(0.5, g) * g + 1e-12 * g
+    assert np.vdot(it.grad, D).real < 0.0
+
+
 def test_bound_permanent_identity_beyond_primal_reach():
-    # n = d = 64: the primal Hessian would have 4096^2 entries
+    # n = d = 64 < d^2 runs the dual, whose Newton system is 64 x 64; a
+    # primal Hessian in d^2 real coordinates would have 4096^2 entries,
+    # while the primal's CG works on 64 x 64 matrices
     res = bound_permanent(gen_instance(64, 64, ensemble="identity").matrix)
     assert res.converged
     assert res.phi == pytest.approx(64 * (2 * math.log(2) - 1), abs=1e-8)
+    assert res.trace_residual <= 1e-6
+
+
+def test_bound_permanent_all_ones_blocks_on_the_primal_path():
+    # A = J_20 (+) J_21 (+) ... (+) J_49: d = 30 and n = 1035 >= d^2, so
+    # the primal runs; Phi adds (m + 1) log(m + 1) - m over the blocks
+    sizes = np.arange(20, 50)
+    V = np.repeat(np.eye(sizes.size), sizes, axis=0)
+    res = bound_permanent(V @ V.T)
+    assert res.converged and (res.n, res.d) == (1035, 30)
+    want = sum((m + 1) * math.log(m + 1) - m for m in sizes.tolist())
+    assert abs(res.phi - want) <= 1e-8
     assert res.trace_residual <= 1e-6
 
 

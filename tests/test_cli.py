@@ -162,6 +162,23 @@ def test_certify_zero_diagonal(capsys, tmp_path):
     assert rep["log_per_exact"] is None  # log of exact zero
 
 
+def test_certify_refutes_a_false_zero(capsys, tmp_path):
+    # A_22 = 1e-13 is under the absolute zero-diagonal tolerance, but
+    # per(A) = 5e-14 > 0; Ryser's nonzero value fails the zero claim
+    path = tmp_path / "tiny.json"
+    write_instance(InstanceFile(matrix=np.diag([1.0, 0.5, 1e-13])), path)
+    assert main(["certify", str(path)]) == EXIT_SANDWICH_VIOLATION
+    captured = capsys.readouterr()
+    rep, err = json.loads(captured.out), captured.err
+    assert rep["permanent_is_zero"] is True
+    assert rep["sandwich_ok"] is False
+    assert rep["log_per_exact"] == pytest.approx(math.log(5e-14), abs=1e-12)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: diagonal entries [2]"), err
+    assert repr(rep["log_per_exact"]) in err
+    assert "Traceback" not in err
+
+
 def test_estimate_command(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "est.json", "--n", "3", "--d", "2", "--seed", "5")
     code, rep = run(capsys, "estimate", path, "--mc-samples", "50000", "--seed", "1")
