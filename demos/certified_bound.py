@@ -17,8 +17,9 @@ from psdperm import GAMMA, bound_permanent, gen_instance, permanent_ryser
 def run(n: int, d: int, seed: int) -> None:
     psd = gen_instance(n, d, seed=seed)
     print(f"instance: gaussian-gram ensemble, n={n}, rank d={d}, seed={seed}")
-    print(f"largest eigenvalue {psd.eigenvalues[0]:.6f}, "
-          f"smallest kept {psd.eigenvalues[psd.rank - 1]:.6f}")
+    diag = np.real(np.diag(psd.matrix))
+    print(f"Gram factor V: {psd.n} x {psd.rank} by pivoted Cholesky, "
+          f"diagonal A_ii from {diag.min():.6f} to {diag.max():.6f}")
 
     res = bound_permanent(psd.matrix)
     print(f"\nsolver: {res.iterations} Newton iterations, "

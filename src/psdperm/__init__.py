@@ -35,7 +35,6 @@ from .errors import (
     NotPSDError,
     NotPositiveDefiniteError,
     NotSquareError,
-    NotUnitaryError,
     ParseError,
     PsdPermError,
     ReconstructionError,
@@ -54,7 +53,6 @@ from .exact import (
 from .gram import (
     GramFactor,
     HermitianPSD,
-    apply_unitary,
     gram_factor,
     validate_hermitian_psd,
 )
@@ -63,7 +61,6 @@ from .instances import (
     InstanceFile,
     gen_instance,
     parse_instance,
-    random_unitary,
     write_instance,
 )
 from .montecarlo import (
@@ -84,7 +81,6 @@ __all__ = [
     "GramFactor",
     "validate_hermitian_psd",
     "gram_factor",
-    "apply_unitary",
     # bound
     "GAMMA",
     "PDPoint",
@@ -112,7 +108,6 @@ __all__ = [
     "ENSEMBLES",
     "InstanceFile",
     "gen_instance",
-    "random_unitary",
     "parse_instance",
     "write_instance",
     # errors
@@ -123,7 +118,6 @@ __all__ = [
     "NotPSDError",
     "ZeroMatrixError",
     "ReconstructionError",
-    "NotUnitaryError",
     "NotPositiveDefiniteError",
     "ZeroRowError",
     "TooLargeError",

@@ -21,7 +21,7 @@ from . import __version__
 from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
-from .gram import DIAG_TOL, RANK_TOL, gram_factor, validate_hermitian_psd
+from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
     InstanceFile,
@@ -135,13 +135,11 @@ def cmd_pipeline(args) -> int:
     """
     verb = args.command
     timings: dict = {}
-    t0 = time.perf_counter()
-    inst = parse_instance(args.input)
+    inst = _timed(timings, "parse", parse_instance, args.input)
     if verb == "certify" and inst.n > RYSER_LIMIT:
         _log(f"error: exact certification needs n <= {RYSER_LIMIT}, got {inst.n}")
         return EXIT_SIZE_GUARD
-    psd = validate_hermitian_psd(inst.matrix, args.rank_tol)
-    timings["validate"] = time.perf_counter() - t0
+    psd = _timed(timings, "validate", validate_hermitian_psd, inst.matrix, args.rank_tol)
 
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
     if verb == "certify":
@@ -149,7 +147,7 @@ def cmd_pipeline(args) -> int:
     zero = bool(psd.zero_diagonal_indices)
     report = CertReport(command=verb, n=psd.n, d=psd.rank, gamma=GAMMA,
                         permanent_is_zero=zero, timings=timings, config=config)
-    factor = None if zero else _timed(timings, "factor", gram_factor, psd)
+    factor = None if zero else gram_factor(psd)
 
     if verb != "estimate":
         if zero:
@@ -169,7 +167,7 @@ def cmd_pipeline(args) -> int:
         report.exact_method = exact.method
         if zero:
             # a zero claim stands only if Ryser agrees exactly
-            report.sandwich_ok = exact.value == 0
+            report.sandwich_ok = exact.log_abs == -math.inf
         else:
             report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
                                       <= res.log_upper + SANDWICH_SLACK)
@@ -193,7 +191,7 @@ def cmd_pipeline(args) -> int:
     if report.sandwich_ok is False:
         if zero:
             _log(f"error: diagonal entries {list(psd.zero_diagonal_indices)} were taken as "
-                 f"zeros (A_ii <= {DIAG_TOL}), but Ryser gives log_per={exact.log_abs!r}")
+                 f"zeros (A_ii <= 0), but Ryser gives log_per={exact.log_abs!r}")
         else:
             _log(f"error: sandwich violated: log_per={exact.log_abs!r} not in "
                  f"[{res.log_lower!r}, {res.log_upper!r}] (slack {SANDWICH_SLACK})")
@@ -290,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="instance JSON file")
         p.add_argument("--rank-tol", type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
                        default=RANK_TOL,
-                       help="relative eigenvalue cutoff for the numerical rank")
+                       help="numerical rank cutoff: pivoted Cholesky of the unit-diagonal "
+                            "matrix stops when no remaining pivot exceeds it")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     def solver_flags(p):

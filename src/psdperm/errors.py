@@ -20,7 +20,7 @@ class NotHermitianError(PsdPermError):
 
 
 class NotPSDError(PsdPermError):
-    """Matrix has an eigenvalue below the negative tolerance threshold."""
+    """Matrix is not positive semidefinite beyond tolerance."""
 
 
 class ZeroMatrixError(PsdPermError):
@@ -29,10 +29,6 @@ class ZeroMatrixError(PsdPermError):
 
 class ReconstructionError(PsdPermError):
     """Gram factor fails to reproduce the source matrix within tolerance."""
-
-
-class NotUnitaryError(PsdPermError):
-    """Matrix fails the unitarity check U^dagger U = I."""
 
 
 class NotPositiveDefiniteError(PsdPermError):

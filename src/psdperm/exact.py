@@ -97,11 +97,20 @@ def permanent_ryser(matrix) -> ExactResult:
     form an ``(n, 2^b)`` array, one contiguous row per matrix row, swept
     against each Gray-code subset of the other columns and multiplied
     row by row in place.
+
+    The sum runs on ``S M S``, ``S = diag(s)`` with ``s_i = |M_ii|^{-1/2}``
+    for each nonzero diagonal entry and 1 elsewhere, whose permanent is
+    ``per(M) / prod |M_ii|``; ``log_abs`` adds ``sum log|M_ii|`` back, so
+    it holds for diagonals far outside the float range of the product.
     """
     M = as_complex_matrix(matrix)
     n = M.shape[0]
     if n > RYSER_LIMIT:
         raise TooLargeError(f"Ryser oracle limited to n <= {RYSER_LIMIT}, got {n}")
+    mags = np.abs(M.diagonal())
+    mags[mags == 0.0] = 1.0
+    s = 1.0 / np.sqrt(mags)
+    M = s[:, None] * M * s
 
     m = n - 1
     b = min(BLOCK_BITS, m)
@@ -124,5 +133,10 @@ def permanent_ryser(matrix) -> ExactResult:
         # parity(popcount(gray(k))) == parity(k), so |S| signs come for free
         total += (-1) ** k * (prod[::2].sum() - prod[1::2].sum())
 
-    value = 2 * (-1) ** m * total
-    return _result(value, "ryser", n)
+    per = complex(2 * (-1) ** m * total)
+    if per == 0:
+        return _result(0j, "ryser", n)
+    scale = math.prod(mags.tolist())  # inf or 0 past the float range; log_abs is not
+    value = complex(per.real * scale if per.real else 0.0, per.imag * scale if per.imag else 0.0)
+    log_abs = math.log(abs(per)) + float(np.log(mags).sum())
+    return ExactResult(value=value, log_abs=log_abs, method="ryser", n=n)

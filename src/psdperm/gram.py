@@ -6,14 +6,19 @@ where ``d`` is the numerical rank of ``A``.  The rows ``v_i`` of ``V``
 are the Gram vectors; all downstream quantities (the concave bound, the
 Monte Carlo estimator) are expressed in terms of them.
 
-The factorization is computed from a spectral decomposition.  Columns of
-the eigenvector matrix are phase-normalized (largest-modulus entry made
-real and nonnegative) so that identical input bytes always produce an
-identical factor.
+Validation and factorization are one pass.  ``A`` is scaled to the unit
+diagonal matrix ``C = D^{-1/2} A D^{-1/2}``, ``D = diag(A)``, which moves
+``log per`` and ``Phi`` by the same ``sum log a_ii``.  Diagonally pivoted
+Cholesky (Higham 1990) factors ``C ~ L L^dagger`` in ``O(n d^2)``, taking
+the first largest remaining pivot until none exceeds ``rank_tol``, and
+``V = D^{1/2} L``.  The remainder ``C - L L^dagger`` is then checked, in
+``O(n^2 d)``.  Every tolerance is relative to the input's own scale, and
+identical input bytes always produce an identical factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +28,6 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     NotSquareError,
-    NotUnitaryError,
     ReconstructionError,
     ZeroMatrixError,
     ZeroRowError,
@@ -33,7 +37,6 @@ __all__ = [
     "HERM_TOL",
     "PSD_TOL",
     "RANK_TOL",
-    "DIAG_TOL",
     "RECON_TOL",
     "HermitianPSD",
     "GramFactor",
@@ -41,26 +44,20 @@ __all__ = [
     "hermitian_part",
     "validate_hermitian_psd",
     "gram_factor",
-    "apply_unitary",
 ]
 
 
-#: Maximum entrywise deviation ``|A - A^dagger|``, relative to
-#: ``max(1, max|A_ij|)``.
+#: Maximum entrywise deviation ``|A - A^dagger|``, relative to ``max|A_ij|``.
 HERM_TOL = 1e-10
-#: Eigenvalues below ``-PSD_TOL * max(1, lambda_max)`` reject the matrix
-#: as not positive semidefinite.
+#: A diagonal entry below ``-PSD_TOL * max_j A_jj``, or a remaining pivot
+#: of the unit-diagonal matrix below ``-PSD_TOL``, rejects the matrix as
+#: not positive semidefinite.
 PSD_TOL = 1e-9
-#: Default of `validate_hermitian_psd`'s ``rank_tol``: eigenvalues at or
-#: below ``rank_tol * lambda_max`` are clipped to zero and do not count
-#: toward the rank.
+#: Default of `validate_hermitian_psd`'s ``rank_tol``: pivoted Cholesky of
+#: the unit-diagonal matrix stops when no remaining pivot exceeds it.
 RANK_TOL = 1e-10
-#: Diagonal entries at or below this absolute threshold are exact zeros,
-#: which force the permanent to be zero.
-DIAG_TOL = 1e-12
-#: Relative Frobenius error allowed in ``V V^dagger`` against the
-#: validated matrix; ``RECON_TOL * d`` bounds ``||U^dagger U - I||_F`` in
-#: `apply_unitary`.
+#: Frobenius norm of the remainder ``C - L L^dagger`` allowed, relative
+#: to that of the unit-diagonal matrix ``C``.
 RECON_TOL = 1e-8
 
 
@@ -86,7 +83,7 @@ def as_complex_matrix(matrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianPSD:
-    """A validated Hermitian positive semidefinite matrix.
+    """A validated Hermitian positive semidefinite matrix and its Gram factor.
 
     Attributes
     ----------
@@ -94,29 +91,26 @@ class HermitianPSD:
         The Hermitized matrix ``(A + A^dagger)/2``, shape ``(n, n)``.
         This differs from the raw input by at most `HERM_TOL` per entry
         (relative) and is exactly Hermitian.
-    eigenvalues : np.ndarray
-        Real eigenvalues in descending order; values at or below the
-        clip threshold ``rank_tol * lambda_max`` are set to exactly 0.
-    eigenvectors : np.ndarray
-        Unitary matrix whose columns match ``eigenvalues``; each column
-        is phase-fixed (largest-modulus entry real nonnegative).
-    rank : int
-        Number of eigenvalues strictly above the clip threshold.
+    factor : np.ndarray
+        ``V = D^{1/2} L``, shape ``(n, rank)``: column ``k`` comes from
+        the ``k``-th pivot, and the row of a zero diagonal entry is 0.
     zero_diagonal_indices : tuple
-        Indices ``i`` with ``A_ii <= DIAG_TOL``.  Any such index forces
-        ``per(A) = 0``, since PSD structure makes the whole row
-        negligible.
+        Indices ``i`` with ``A_ii <= 0``.  Any such index forces
+        ``per(A) = 0``, since PSD structure makes the whole row zero.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
+    factor: np.ndarray
     zero_diagonal_indices: tuple
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Number of pivots above the rank cutoff."""
+        return self.factor.shape[1]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -128,81 +122,110 @@ def hermitian_part(matrix) -> np.ndarray:
     """Check that a square matrix is Hermitian and return ``(A + A^dagger)/2``.
 
     Raises `NotHermitianError` if ``max|A - A^dagger|`` exceeds
-    ``HERM_TOL * max(1, max|A_ij|)``, and what `as_complex_matrix` raises.
+    ``HERM_TOL * max|A_ij|``, and what `as_complex_matrix` raises.
     """
     A = as_complex_matrix(matrix)
+    AH = A.conj().T
     scale = float(np.max(np.abs(A)))
-    defect = float(np.max(np.abs(A - A.conj().T)))
-    if defect > HERM_TOL * max(1.0, scale):
+    defect = float(np.max(np.abs(A - AH)))
+    if defect > HERM_TOL * scale:
         raise NotHermitianError(
-            f"Hermitian defect {defect:.3e} exceeds tolerance "
-            f"{HERM_TOL:.1e} * max(1, {scale:.3e})"
+            f"Hermitian defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e} * {scale:.3e}"
         )
-    return (A + A.conj().T) / 2.0
-
-
-def _fix_phases(U: np.ndarray) -> np.ndarray:
-    """Rotate each unit column so its largest-modulus entry is real and nonnegative."""
-    pivots = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])].conj()
-    # hypot: numpy's vectorized complex abs may differ in the last bit
-    return U * (pivots * (1.0 / np.hypot(pivots.real, pivots.imag)))
+    return (A + AH) / 2.0
 
 
 def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
-    """Validate a matrix as Hermitian PSD and compute its spectral data.
+    """Validate a matrix as Hermitian PSD and compute its Gram factor.
 
     Parameters
     ----------
     matrix : array_like
         Square complex matrix, ``n >= 1``.
     rank_tol : float, optional
-        Eigenvalues at or below ``rank_tol * lambda_max`` are clipped to
-        zero and do not count toward the rank; must lie in ``[0, 1)``.
+        Pivoted Cholesky of the unit-diagonal matrix stops when no
+        remaining pivot exceeds ``rank_tol``; must lie in ``[0, 1)``.
 
     Returns
     -------
     HermitianPSD
-        Frozen record with the Hermitized matrix, clipped descending
-        spectrum, phase-fixed eigenvectors, rank, and zero-diagonal
-        index list.
+        Frozen record with the Hermitized matrix, its Gram factor and
+        its zero-diagonal index list.
 
     Raises
     ------
     ValueError
         If `rank_tol` is negative, not finite, or at least 1.
-    NotSquareError, NonFiniteError, NotHermitianError, NotPSDError
+    NotSquareError, NonFiniteError, NotHermitianError
+    NotPSDError
+        If a diagonal entry is below ``-PSD_TOL * max_j A_jj``, a
+        remaining pivot below ``-PSD_TOL``, or the remainder ``S = C - L
+        L^dagger`` larger in Frobenius norm than its trace, which no PSD
+        ``S`` is; off-diagonal mass in a zero-diagonal row fails here.
+    ReconstructionError
+        If ``||S||_F`` exceeds ``RECON_TOL * ||C||_F``; the message says
+        where the rank cutoff stopped.  NaN fails every check.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
-    Ah = hermitian_part(matrix)
-
-    w, U = np.linalg.eigh(Ah)
-    w = w[::-1].copy()
-
-    lam_max = float(w[0])
-    if w[-1] < -PSD_TOL * max(1.0, lam_max):
+    A = hermitian_part(matrix)
+    n = A.shape[0]
+    diag = A.diagonal().real
+    top = float(diag.max())
+    if diag.min() < -PSD_TOL * top:
         raise NotPSDError(
-            f"minimum eigenvalue {w[-1]:.3e} below -{PSD_TOL:.1e} "
-            f"* max(1, {lam_max:.3e})"
+            f"diagonal entry {diag.min():.3e} below -{PSD_TOL:.1e} * max_j A_jj = {top:.3e}"
+        )
+    zero = diag <= 0.0
+    # a zero-diagonal row is scaled by the largest diagonal entry, so its
+    # off-diagonal mass shows in the remainder at the matrix's own scale
+    s = 1.0 / np.sqrt(np.where(zero, top if top > 0.0 else 1.0, diag))
+    C = A * s[:, None]
+    C *= s
+    r = np.where(zero, C.diagonal().real, 1.0)  # remaining pivots; those <= 0 are never taken
+    C.flat[:: n + 1] = r  # exact ones, so that ties go to the first index
+    Lt = np.empty((n, n), dtype=complex)  # row k is column k of L; unused rows stay untouched
+    for k in range(n + 1):
+        p = r.argmax()
+        if not r[p] > rank_tol:
+            break
+        col = Lt[k]
+        np.conjugate(C[p], out=col)  # column p of the Hermitian C
+        col -= Lt[:k, p].conj() @ Lt[:k]
+        col *= 1.0 / math.sqrt(r[p])
+        r -= (col * col.conj()).real
+        r[p] = 0.0
+    L = Lt[:k].T.copy()
+    L[zero] = 0.0
+
+    norm = float(np.linalg.norm(C))
+    S = C  # the remainder, in place: C is not read again
+    S -= L @ L.conj().T
+    rest = S.diagonal().real
+    err = float(np.linalg.norm(S))
+    if not rest.min() >= -PSD_TOL:
+        raise NotPSDError(f"remaining pivot {rest.min():.3e} below -{PSD_TOL:.1e}")
+    if not err <= rest.sum() + PSD_TOL * norm:
+        raise NotPSDError(
+            f"remainder ||C - L L^H||_F = {err:.3e} exceeds its trace {rest.sum():.3e}, "
+            "which no PSD remainder does"
+        )
+    if not err <= RECON_TOL * norm:
+        cutoff = (
+            f"; the rank cutoff stopped after {k} of {n} pivots, "
+            "and a smaller rank_tol (--rank-tol) keeps more"
+            if k < n else ""
+        )
+        raise ReconstructionError(
+            f"||C - L L^H||_F = {err:.3e} exceeds {RECON_TOL:.1e} * ||C||_F = {norm:.3e}{cutoff}"
         )
 
-    # Clip the tail of the spectrum to exact zeros.
-    clip = rank_tol * max(lam_max, 0.0)
-    small = w <= clip
-    w[small] = 0.0
-    rank = int(np.count_nonzero(~small))
-
-    U = _fix_phases(U[:, ::-1])
-    diag = np.real(np.diag(Ah))
-    zero_diag = tuple(int(i) for i in np.nonzero(diag <= DIAG_TOL)[0])
-
-    _freeze(Ah, w, U)
+    V = L * np.sqrt(np.where(zero, 0.0, diag))[:, None]
+    _freeze(A, V)
     return HermitianPSD(
-        matrix=Ah,
-        eigenvalues=w,
-        eigenvectors=U,
-        rank=rank,
-        zero_diagonal_indices=zero_diag,
+        matrix=A,
+        factor=V,
+        zero_diagonal_indices=tuple(np.flatnonzero(zero).tolist()),
     )
 
 
@@ -232,90 +255,26 @@ class GramFactor:
 
 
 def gram_factor(psd: HermitianPSD) -> GramFactor:
-    """Compute the rank-revealing Gram factor of a validated matrix.
+    """The Gram factor of a validated matrix, which validation computed.
 
-    ``V = U_d sqrt(w_d)`` from the validated spectrum.  A zero diagonal
-    entry forces ``per(A) = 0``; callers handle that case before
-    factoring (see `bound.zero_diagonal_result`).
-
-    Returns
-    -------
-    GramFactor
+    A zero diagonal entry forces ``per(A) = 0``; callers handle that
+    case before factoring (see `bound.zero_diagonal_result`).
 
     Raises
     ------
     ZeroMatrixError
-        If the matrix is numerically zero (rank 0).
+        If the matrix is zero (rank 0).
     ZeroRowError
         If the matrix has a zero diagonal entry.
-    ReconstructionError
-        If ``V V^dagger`` fails to match the source within `RECON_TOL`
-        (relative Frobenius), or the row norms disagree with the
-        diagonal; NaN in the factor fails both checks.  When the rank
-        cutoff truncated the factor, the message says how many
-        eigenvalues it dropped.
     """
     if psd.rank == 0:
-        raise ZeroMatrixError("matrix is numerically zero; no Gram factor")
+        raise ZeroMatrixError("matrix is zero; no Gram factor")
     if psd.zero_diagonal_indices:
         raise ZeroRowError(
-            f"diagonal entries {list(psd.zero_diagonal_indices)} are numerically zero; "
+            f"diagonal entries {list(psd.zero_diagonal_indices)} are zero; "
             "the permanent is exactly zero and must be short-circuited by the caller"
         )
-    d = psd.rank
-    V = psd.eigenvectors[:, :d] * np.sqrt(psd.eigenvalues[:d])
-    A = psd.matrix
-
-    recon = V @ V.conj().T
-    ref_norm = float(np.linalg.norm(A))
-    bound = RECON_TOL * max(1.0, ref_norm)
-    err = float(np.linalg.norm(recon - A))
-    if not err <= bound:
-        dropped = psd.n - d
-        cutoff = (
-            f"; the rank cutoff dropped {dropped} of {psd.n} eigenvalues, "
-            "and a smaller rank_tol (--rank-tol) keeps more of them"
-            if dropped else ""
-        )
-        raise ReconstructionError(
-            f"||V V^H - A||_F = {err:.3e} exceeds {RECON_TOL:.1e} "
-            f"* max(1, {ref_norm:.3e}){cutoff}"
-        )
-
+    V = psd.factor
     row_norms_sq = np.sum(np.abs(V) ** 2, axis=1)
-    diag = np.real(np.diag(A))
-    if not float(np.max(np.abs(row_norms_sq - diag))) <= bound:
-        raise ReconstructionError("Gram row norms disagree with the diagonal")
-
-    _freeze(V, row_norms_sq)
+    _freeze(row_norms_sq)
     return GramFactor(matrix=V, row_norms_sq=row_norms_sq)
-
-
-def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
-    """Right-multiply the Gram factor by a unitary: ``W = V U``.
-
-    ``W W^dagger = V V^dagger``, so the factored matrix is unchanged;
-    this is the gauge freedom of the factorization and is useful for
-    invariance checks.
-
-    Raises
-    ------
-    NotUnitaryError
-        If `unitary` is not ``d x d`` or fails ``U^dagger U = I``
-        within ``RECON_TOL * d`` (Frobenius).
-    """
-    d = factor.d
-    U = np.asarray(unitary, dtype=complex)
-    if U.shape != (d, d):
-        raise NotUnitaryError(f"expected shape ({d}, {d}), got {U.shape}")
-    if not np.all(np.isfinite(U.real)) or not np.all(np.isfinite(U.imag)):
-        raise NotUnitaryError("unitary contains non-finite entries")
-    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
-    if defect > RECON_TOL * d:
-        raise NotUnitaryError(
-            f"||U^H U - I||_F = {defect:.3e} exceeds {RECON_TOL:.1e} * {d}"
-        )
-    W = factor.matrix @ U
-    row_norms_sq = np.sum(np.abs(W) ** 2, axis=1)
-    _freeze(W, row_norms_sq)
-    return GramFactor(matrix=W, row_norms_sq=row_norms_sq)

@@ -32,11 +32,8 @@ __all__ = [
     "ENSEMBLES",
     "InstanceFile",
     "gen_instance",
-    "random_unitary",
     "parse_instance",
     "write_instance",
-    "instance_from_dict",
-    "instance_to_dict",
     "instance_to_json",
 ]
 
@@ -54,7 +51,7 @@ def gen_instance(
     gaussian-gram
         ``A = G G^dagger`` with i.i.d. standard complex Gaussian ``G``
         of shape ``(n, d)``, normalized so the largest diagonal entry
-        is 1.  Rank ``d`` (verified against the eigenvalue count).
+        is 1.  Rank ``d`` (verified against the numerical rank).
     identity
         ``I_n``; requires ``d == n``.
     all-ones
@@ -94,19 +91,6 @@ def gen_instance(
             f"generated instance has numerical rank {psd.rank}, expected {d}"
         )
     return psd
-
-
-def random_unitary(d: int, seed: int = 0) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a complex Gaussian matrix.
-
-    Columns are phase-fixed by the R diagonal, so the result is exactly
-    unitary (up to roundoff) and deterministic per seed.
-    """
-    Z = sample_standard_complex_gaussian(philox_generator(seed), d, size=d)
-    Q, R = np.linalg.qr(Z)
-    diag = np.diag(R)
-    phases = diag / np.abs(diag)
-    return Q * phases
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from psdperm import GramFactor, SolverOptions, bound, gen_instance, gram_factor
+from psdperm import (
+    GramFactor,
+    SolverOptions,
+    bound,
+    gen_instance,
+    gram_factor,
+    philox_generator,
+    sample_standard_complex_gaussian,
+)
+
+
+class NotUnitaryError(ValueError):
+    """Matrix fails the unitarity check U^dagger U = I."""
 
 
 def random_factor(n: int, d: int, seed: int) -> GramFactor:
     """Gram factor of a random gaussian-gram instance."""
     return gram_factor(gen_instance(n, d, seed=seed))
+
+
+def random_unitary(d: int, seed: int = 0) -> np.ndarray:
+    """Haar-ish random unitary from the QR of a complex Gaussian matrix.
+
+    Columns are phase-fixed by the R diagonal, so the result is exactly
+    unitary (up to roundoff) and deterministic per seed.
+    """
+    Z = sample_standard_complex_gaussian(philox_generator(seed), d, size=d)
+    Q, R = np.linalg.qr(Z)
+    diag = np.diag(R)
+    return Q * (diag / np.abs(diag))
+
+
+def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
+    """Right-multiply the Gram factor by a unitary: ``W = V U``.
+
+    ``W W^dagger = V V^dagger``, so the factored matrix is unchanged;
+    this is the gauge freedom of the factorization.  Raises
+    `NotUnitaryError` unless `unitary` is ``d x d``, finite, and
+    satisfies ``||U^dagger U - I||_F <= 1e-8 d``.
+    """
+    d = factor.d
+    U = np.asarray(unitary, dtype=complex)
+    if U.shape != (d, d):
+        raise NotUnitaryError(f"expected shape ({d}, {d}), got {U.shape}")
+    if not np.all(np.isfinite(U)):
+        raise NotUnitaryError("unitary contains non-finite entries")
+    defect = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
+    if defect > 1e-8 * d:
+        raise NotUnitaryError(f"||U^H U - I||_F = {defect:.3e} exceeds 1e-8 * {d}")
+    W = factor.matrix @ U
+    return GramFactor(matrix=W, row_norms_sq=np.sum(np.abs(W) ** 2, axis=1))
 
 
 def random_pd(d: int, seed: int, jitter: float = 0.1) -> np.ndarray:

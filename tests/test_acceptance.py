@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from psdperm import (
     GAMMA,
-    apply_unitary,
     bound_permanent,
     calibrate_gamma,
     estimate_permanent,
@@ -28,11 +27,17 @@ from psdperm import (
     objective,
     permanent_naive,
     permanent_ryser,
-    random_unitary,
     solve,
 )
 from psdperm.cli import EXIT_OK, main
-from helpers import newton_from_identity, random_factor, random_hermitian, random_pd
+from helpers import (
+    apply_unitary,
+    newton_from_identity,
+    random_factor,
+    random_hermitian,
+    random_pd,
+    random_unitary,
+)
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -12,7 +12,9 @@ from psdperm import (
     InstanceFile,
     SolverOptions,
     bound_permanent,
+    gen_instance,
     parse_instance,
+    permanent_ryser,
     write_instance,
 )
 from psdperm.cli import (
@@ -163,20 +165,65 @@ def test_certify_zero_diagonal(capsys, tmp_path):
 
 
 def test_certify_refutes_a_false_zero(capsys, tmp_path):
-    # A_22 = 1e-13 is under the absolute zero-diagonal tolerance, but
-    # per(A) = 5e-14 > 0; Ryser's nonzero value fails the zero claim
+    # A_22 = 1e-13 is positive, so per(A) = 5e-14 > 0: no zero claim, and
+    # Ryser's log 5e-14 = -30.63 falls inside the bracket
     path = tmp_path / "tiny.json"
     write_instance(InstanceFile(matrix=np.diag([1.0, 0.5, 1e-13])), path)
+    code, rep = run(capsys, "certify", str(path))
+    assert code == EXIT_OK
+    assert rep["permanent_is_zero"] is False
+    assert rep["sandwich_ok"] is True
+    assert rep["log_per_exact"] == pytest.approx(math.log(5e-14), abs=1e-12)
+    assert rep["log_lower"] <= rep["log_per_exact"] <= rep["log_upper"]
+
+
+def test_certify_refutes_a_zero_claim_on_a_near_psd_input(capsys, tmp_path):
+    # A_00 = 0 with off-diagonal mass 1e-10, within PSD_TOL of a PSD
+    # matrix: a zero claim, but per(A) = 1e-20; the claim fails (exit 3)
+    path = tmp_path / "near.json"
+    write_instance(InstanceFile(matrix=np.array([[0.0, 1e-10], [1e-10, 1.0]])), path)
     assert main(["certify", str(path)]) == EXIT_SANDWICH_VIOLATION
     captured = capsys.readouterr()
     rep, err = json.loads(captured.out), captured.err
     assert rep["permanent_is_zero"] is True
     assert rep["sandwich_ok"] is False
-    assert rep["log_per_exact"] == pytest.approx(math.log(5e-14), abs=1e-12)
+    # Ryser's 2^(n-1) terms of size ~1 cancel down to 1e-20
+    assert rep["log_per_exact"] == pytest.approx(math.log(1e-20), abs=1e-5)
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: diagonal entries [2]"), err
+    assert len(lines) == 1 and lines[0].startswith("error: diagonal entries [0]"), err
     assert repr(rep["log_per_exact"]) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tiny", [1e-13, 1e-11])
+def test_bound_on_a_tiny_diagonal_entry(capsys, tmp_path, tiny):
+    # a positive diagonal entry is never a zero, and never a dropped rank
+    path = tmp_path / "tiny.json"
+    A = np.diag([1.0, 0.5, tiny])
+    write_instance(InstanceFile(matrix=A), path)
+    code, rep = run(capsys, "bound", str(path))
+    assert code == EXIT_OK
+    assert rep["permanent_is_zero"] is False and rep["d"] == 3
+    log_per = permanent_ryser(A).log_abs
+    assert math.isfinite(rep["log_lower"]) and math.isfinite(rep["log_upper"])
+    assert rep["log_lower"] <= log_per <= rep["log_upper"]
+
+
+@pytest.mark.parametrize("spread", [20, 100])
+def test_certify_on_a_wide_diagonal_range(capsys, tmp_path, spread):
+    # D A D with diagonal entries spread over 10^(+-spread): per(DAD) =
+    # prod d_i^2 per(A), far outside the float range, and the bracket holds
+    A = gen_instance(12, 4, seed=1).matrix
+    gen = np.random.Generator(np.random.Philox(key=np.array([spread, 3], dtype=np.uint64)))
+    log10_d2 = gen.uniform(-spread, spread, size=12)
+    d = 10.0 ** (log10_d2 / 2)
+    path = tmp_path / "wide.json"
+    write_instance(InstanceFile(matrix=d[:, None] * A * d), path)
+    code, rep = run(capsys, "certify", str(path))
+    assert code == EXIT_OK
+    assert rep["permanent_is_zero"] is False and rep["sandwich_ok"] is True
+    want = permanent_ryser(A).log_abs + float(np.sum(log10_d2)) * math.log(10.0)
+    assert abs(rep["log_per_exact"] - want) <= 1e-9
 
 
 def test_estimate_command(capsys, tmp_path):
@@ -277,7 +324,7 @@ def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
 
 
 def test_rank_cutoff_that_breaks_the_factor_is_named(capsys, tmp_path):
-    # --rank-tol 0.5 clips real eigenvalues, so the truncated factor fails
+    # --rank-tol 0.5 stops before real pivots, so the truncated factor fails
     # the reconstruction check; the error names the cutoff as the cause
     path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
     assert main(["bound", path, "--rank-tol", "0.5"]) == EXIT_INVALID_INPUT
@@ -285,8 +332,8 @@ def test_rank_cutoff_that_breaks_the_factor_is_named(capsys, tmp_path):
     assert captured.out == ""
     err = captured.err
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ||V V^H - A||_F"), err
-    assert "rank cutoff dropped 5 of 6 eigenvalues" in err
+    assert len(lines) == 1 and lines[0].startswith("error: ||C - L L^H||_F"), err
+    assert "rank cutoff stopped after 2 of 6 pivots" in err
     assert "--rank-tol" in err
     assert "Traceback" not in err
     code, rep = run(capsys, "bound", path, "--rank-tol", "0.01")

@@ -1,6 +1,5 @@
 """Validation and Gram factorization tests."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,33 +10,30 @@ from psdperm import (
     NotHermitianError,
     NotPSDError,
     NotSquareError,
-    NotUnitaryError,
     ReconstructionError,
     ZeroMatrixError,
     ZeroRowError,
-    apply_unitary,
     gen_instance,
     gram_factor,
-    random_unitary,
     validate_hermitian_psd,
 )
-from psdperm import gram
-from helpers import random_hermitian
+from helpers import NotUnitaryError, apply_unitary, random_unitary
 
 
 def test_validate_diagonal_example():
     psd = validate_hermitian_psd([[2.0]])
     assert psd.n == 1
     assert psd.rank == 1
-    np.testing.assert_allclose(psd.eigenvalues, [2.0])
+    np.testing.assert_allclose(psd.factor, [[math.sqrt(2.0)]])
 
 
 def test_validate_rank_one_complex():
     # [[1, i], [-i, 1]] has eigenvalues {2, 0}
     A = np.array([[1.0, 1j], [-1j, 1.0]])
     psd = validate_hermitian_psd(A)
-    np.testing.assert_allclose(psd.eigenvalues, [2.0, 0.0], atol=1e-12)
     assert psd.rank == 1
+    V = psd.factor
+    np.testing.assert_allclose(V @ V.conj().T, A, atol=1e-15)
 
 
 def test_rejects_indefinite():
@@ -76,18 +72,37 @@ def test_rejects_non_finite():
         validate_hermitian_psd(B)
 
 
+def near_duplicate_rows(gap: float) -> np.ndarray:
+    # unit-diagonal Gram matrix of two unit vectors; the second pivot is gap^2
+    u = np.array([1.0, 0.0])
+    w = np.array([math.sqrt(1.0 - gap**2), gap])
+    V = np.array([u, w])
+    return V @ V.T
+
+
 def test_eigenvalue_clipping():
-    # the tiny eigenvalue is below rank_tol * lambda_max and must clip to exact 0
-    psd = validate_hermitian_psd(np.diag([1.0, 1e-15]))
+    # the second pivot 1e-15 (and so the small eigenvalue) is below
+    # rank_tol and is not taken; the remainder passes the reconstruction check
+    psd = validate_hermitian_psd(near_duplicate_rows(math.sqrt(1e-15)))
     assert psd.rank == 1
-    assert psd.eigenvalues[1] == 0.0
+    assert psd.factor.shape == (2, 1)
+
+
+def test_diagonal_matrix_is_full_rank():
+    # a tiny diagonal entry is still a positive one: the unit-diagonal
+    # matrix is the identity
+    psd = validate_hermitian_psd(np.diag([1.0, 1e-15]))
+    assert psd.rank == 2
+    assert psd.zero_diagonal_indices == ()
+    np.testing.assert_allclose(psd.factor, np.diag([1.0, math.sqrt(1e-15)]))
 
 
 def test_near_psd_within_tolerance_accepted():
-    # slightly negative eigenvalue within psd_tol passes and clips to 0
-    psd = validate_hermitian_psd(np.diag([1.0, -1e-12]))
+    # a remaining pivot of -1e-12, within PSD_TOL, passes and is not taken
+    A = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+    psd = validate_hermitian_psd(A)
     assert psd.rank == 1
-    assert psd.eigenvalues[1] == 0.0
+    np.testing.assert_allclose(psd.factor, [[1.0], [1.0]])
 
 
 def test_zero_diagonal_detection():
@@ -99,30 +114,64 @@ def test_zero_diagonal_detection():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_zero_diagonal_row_is_small(seed):
-    # Cauchy-Schwarz: |A_ij|^2 <= A_ii A_jj, so a diagonal entry at or
-    # below diag_tol pins its whole row under sqrt(diag_tol * lmax).
+    # an exactly zero Gram row is a zero diagonal entry, and its factor
+    # row is exactly zero; the other rows factor as before
     rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
     V = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    V[2] *= 3e-7 / np.linalg.norm(V[2])  # row norm^2 = 9e-14 < diag_tol
+    V[2] = 0.0
     psd = validate_hermitian_psd(V @ V.conj().T)
-    assert 2 in psd.zero_diagonal_indices
-    lmax = float(psd.eigenvalues[0])
-    cap = math.sqrt(gram.DIAG_TOL * lmax)
-    for i in psd.zero_diagonal_indices:
-        assert np.max(np.abs(psd.matrix[i])) <= cap
+    assert psd.zero_diagonal_indices == (2,)
+    assert psd.rank == 3
+    assert np.all(psd.factor[2] == 0.0)
+    W = psd.factor
+    assert np.linalg.norm(W @ W.conj().T - psd.matrix) <= 1e-12 * np.linalg.norm(psd.matrix)
+
+
+def test_zero_diagonal_row_with_off_diagonal_mass_rejected():
+    for off in (1e-3, 1e-6j):
+        with pytest.raises(NotPSDError):
+            validate_hermitian_psd(1e-12 * np.array([[0.0, off], [np.conj(off), 1.0]]))
+        with pytest.raises(NotPSDError):
+            validate_hermitian_psd([[0.0, off], [np.conj(off), 0.0]])
+
+
+def test_tiny_positive_diagonal_is_not_zero():
+    # A_ii > 0 never gives a zero claim, however small against the rest
+    for tiny in (1e-11, 1e-13, 1e-300, 5e-324):
+        psd = validate_hermitian_psd(np.diag([1.0, 0.5, tiny]))
+        assert psd.zero_diagonal_indices == ()
+        assert psd.rank == 3
+        assert np.all(gram_factor(psd).row_norms_sq > 0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+def test_validation_is_scale_free(scale):
+    # the indefinite and the non-Hermitian matrix fail at every scale
+    with pytest.raises(NotPSDError):
+        validate_hermitian_psd(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotHermitianError):
+        validate_hermitian_psd(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotPSDError):
+        validate_hermitian_psd(scale * np.diag([1.0, -1e-6]))
+    A = gen_instance(6, 3, seed=4).matrix
+    psd = validate_hermitian_psd(scale * A)
+    assert psd.rank == 3
+    assert psd.zero_diagonal_indices == ()
 
 
 def test_validation_deterministic():
     A = gen_instance(7, 4, seed=5).matrix
     p1 = validate_hermitian_psd(A)
     p2 = validate_hermitian_psd(A)
-    assert p1.eigenvectors.tobytes() == p2.eigenvectors.tobytes()
-    assert p1.eigenvalues.tobytes() == p2.eigenvalues.tobytes()
+    assert p1.rank == p2.rank == 4
+    assert p1.factor.tobytes() == p2.factor.tobytes()
 
 
 def test_custom_tolerances_respected():
-    psd = validate_hermitian_psd(np.diag([1.0, 1e-3]), rank_tol=1e-2)
-    assert psd.rank == 1
+    # the second pivot 1e-9 is taken at the default cutoff, not at 1e-8
+    A = near_duplicate_rows(math.sqrt(1e-9))
+    assert validate_hermitian_psd(A).rank == 2
+    assert validate_hermitian_psd(A, rank_tol=1e-8).rank == 1
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf, -math.inf])
@@ -140,24 +189,9 @@ def test_gram_factor_scalar():
 def test_gram_factor_rank_one_ones():
     factor = gram_factor(validate_hermitian_psd(np.ones((2, 2))))
     assert factor.d == 1
-    # phase convention: the largest-modulus entry is real positive
+    # the pivot entry L_pp = sqrt(pivot) is real positive
     assert np.all(factor.matrix.real > 0)
     np.testing.assert_allclose(np.abs(factor.matrix), 1.0, atol=1e-12)
-
-
-def _fix_phases_by_column(U):
-    """Column-by-column reference for `gram._fix_phases`."""
-    U = U.copy()
-    for k in range(U.shape[1]):
-        pivot = U[int(np.argmax(np.abs(U[:, k]))), k]
-        U[:, k] = U[:, k] * (pivot.conj() / abs(pivot))
-    return U
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_fix_phases_matches_column_loop(seed):
-    U = np.linalg.eigh(random_hermitian(12, seed=seed))[1]
-    np.testing.assert_array_equal(gram._fix_phases(U), _fix_phases_by_column(U))
 
 
 def test_gram_factor_identity():
@@ -178,12 +212,11 @@ def test_gram_factor_drops_zero_rows():
         gram_factor(psd)
 
 
-def test_gram_factor_rejects_nan_factor():
-    # a kept negative eigenvalue gives a NaN column, which must not pass as a factor
-    psd = validate_hermitian_psd(np.ones((2, 2)))
-    bad = dataclasses.replace(psd, eigenvalues=np.array([2.0, -1e-17]), rank=2)
-    with np.errstate(invalid="ignore"), pytest.raises(ReconstructionError):
-        gram_factor(bad)
+def test_rank_cutoff_that_breaks_the_factor_raises():
+    # rank_tol 0.5 stops before real pivots; the remainder fails the check
+    A = gen_instance(6, 3, seed=1).matrix
+    with pytest.raises(ReconstructionError, match="stopped after 2 of 6 pivots"):
+        validate_hermitian_psd(A, rank_tol=0.5)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -200,9 +233,10 @@ def test_reconstruction_sweep(seed):
 def test_rank_matches_eigenvalue_count():
     for seed in range(8):
         psd = gen_instance(8, 1 + seed, seed=seed)
-        lam_max = psd.eigenvalues[0]
-        count = int(np.count_nonzero(psd.eigenvalues > 1e-10 * lam_max))
-        assert gram_factor(psd).d == count == 1 + seed
+        w = np.linalg.eigvalsh(psd.matrix)
+        count = int(np.count_nonzero(w > 1e-10 * w[-1]))
+        assert psd.factor.shape == (8, psd.rank)
+        assert gram_factor(psd).d == psd.rank == count == 1 + seed
 
 
 def test_row_norms_match_diagonal():

@@ -30,7 +30,7 @@ def test_all_ones_ensemble():
     psd = gen_instance(3, 1, ensemble="all-ones")
     np.testing.assert_array_equal(psd.matrix, np.ones((3, 3)))
     assert psd.rank == 1
-    np.testing.assert_allclose(psd.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(psd.factor, np.ones((3, 1)))
 
 
 def test_diagonal_ensemble():
