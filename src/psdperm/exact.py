@@ -98,10 +98,11 @@ def permanent_ryser(matrix) -> ExactResult:
     against each Gray-code subset of the other columns and multiplied
     row by row in place.
 
-    The sum runs on ``S M S``, ``S = diag(s)`` with ``s_i = |M_ii|^{-1/2}``
+    The sum runs on ``D M D``, ``D = diag(s)`` with ``s_i = |M_ii|^{-1/2}``
     for each nonzero diagonal entry and 1 elsewhere, whose permanent is
     ``per(M) / prod |M_ii|``; ``log_abs`` adds ``sum log|M_ii|`` back, so
     it holds for diagonals far outside the float range of the product.
+    For PSD ``M`` every entry of ``D M D`` is at most 1 in modulus.
     """
     M = as_complex_matrix(matrix)
     n = M.shape[0]

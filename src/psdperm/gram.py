@@ -132,7 +132,13 @@ def hermitian_part(matrix) -> np.ndarray:
         raise NotHermitianError(
             f"Hermitian defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e} * {scale:.3e}"
         )
-    return (A + AH) / 2.0
+    # halve before adding, so that entries near the float maximum do not
+    # overflow, and take the diagonal as it is, so that no subnormal A_ii
+    # rounds to zero; both sums are the same, so the result is Hermitian
+    H = A * 0.5
+    H += AH * 0.5
+    H.flat[:: A.shape[0] + 1] = A.diagonal().real
+    return H
 
 
 def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
