@@ -26,7 +26,6 @@ from .bound import (
     gradient,
     objective,
     solve,
-    zero_diagonal_result,
 )
 from .errors import (
     BadRankError,
@@ -40,7 +39,6 @@ from .errors import (
     ReconstructionError,
     SchemaError,
     TooLargeError,
-    ZeroMatrixError,
     ZeroRowError,
 )
 from .exact import (
@@ -89,7 +87,6 @@ __all__ = [
     "objective",
     "gradient",
     "solve",
-    "zero_diagonal_result",
     "bound_permanent",
     # exact
     "NAIVE_LIMIT",
@@ -116,7 +113,6 @@ __all__ = [
     "NonFiniteError",
     "NotHermitianError",
     "NotPSDError",
-    "ZeroMatrixError",
     "ReconstructionError",
     "NotPositiveDefiniteError",
     "ZeroRowError",

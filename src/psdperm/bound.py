@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ZeroRowError
-from .gram import GramFactor, HermitianPSD, gram_factor, hermitian_part, validate_hermitian_psd
+from .gram import GramFactor, gram_factor, hermitian_part, validate_hermitian_psd
 
 __all__ = [
     "GAMMA",
@@ -70,7 +70,6 @@ __all__ = [
     "objective",
     "gradient",
     "solve",
-    "zero_diagonal_result",
     "bound_permanent",
 ]
 
@@ -96,9 +95,9 @@ class PDPoint:
 
     Only its ``d^2`` real parameters are stored: the real parts of the
     lower triangle, diagonal included, then the imaginary parts below
-    the diagonal.  That keeps a `BoundResult`, which carries one, at a
-    quarter of the size of a complex matrix and its Cholesky factor.
-    `matrix` and `chol` are rebuilt bit for bit on each access.
+    the diagonal.  That keeps a `BoundResult`, which carries one, at
+    half the size of a complex matrix.  `matrix` is rebuilt bit for bit
+    on each access.
     """
 
     packed: np.ndarray
@@ -137,15 +136,6 @@ class PDPoint:
         X[strict[1], strict[0]] = X[strict].conj()
         return X
 
-    @property
-    def chol(self) -> np.ndarray:
-        """Lower triangular ``L`` with ``matrix = L L^dagger``."""
-        return np.linalg.cholesky(self.matrix)
-
-    @property
-    def log_det(self) -> float:
-        return _log_det_chol(self.chol)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -177,8 +167,8 @@ class BoundResult:
     raised to ``phi`` when roundoff puts it below, and
     ``duality_gap = log_upper - phi >= 0``.  `status` is one of
     ``converged``, ``max_iters``, ``stalled``, ``no_progress``, or
-    ``zero_diagonal`` (the `zero_diagonal_result` sentinel: the
-    permanent is exactly zero and ``phi = -inf``).
+    ``zero_diagonal``: the factor has a zero row, the permanent is
+    exactly zero and ``phi = log_lower = log_upper = -inf``.
     """
 
     phi: float
@@ -208,10 +198,10 @@ def _quadratic_forms(V: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(factor: GramFactor) -> None:
-    if np.any(factor.row_norms_sq <= 0.0):
+    if factor.has_zero_row:
         raise ZeroRowError(
-            "Gram factor has a zero row; the permanent is exactly zero "
-            "and must be short-circuited by the caller"
+            "Gram factor has a zero row, so phi is -inf everywhere; "
+            "the permanent is exactly zero (see solve)"
         )
 
 
@@ -487,16 +477,19 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     diagnostic `status`; its endpoints are still bounds, and `log_upper`
     is ``+inf`` when the iterate gives no feasible dual point.
 
-    Raises
-    ------
-    ZeroRowError
-        If the factor has a zero row (the permanent is exactly zero;
-        callers should use `bound_permanent`, which short-circuits).
+    A zero row ``v_i`` zeroes row ``i`` of ``A``, so ``per(A) = 0``:
+    then no optimization runs, and the result has status
+    ``zero_diagonal``, ``phi = log_lower = log_upper = -inf`` and
+    ``duality_gap = 0``.
     """
     opts = options if options is not None else SolverOptions()
-    _check_rows(factor)
     V = factor.matrix
     n, d = V.shape
+    if factor.has_zero_row:
+        return BoundResult(phi=-math.inf, x_star=None, iterations=0, grad_norm=0.0,
+                           trace_residual=0.0, log_lower=-math.inf, log_upper=-math.inf,
+                           duality_gap=0.0, gamma=GAMMA, converged=True, status="zero_diagonal",
+                           objective_history=np.asarray([]), n=n, d=d)
 
     X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     oracle = _DualOracle(V) if n < d * d else _PrimalOracle(V)
@@ -523,40 +516,10 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     )
 
 
-def zero_diagonal_result(psd: HermitianPSD) -> BoundResult:
-    """The sentinel result for a matrix with a zero diagonal entry.
-
-    Such an entry forces ``per(A) = 0``, so the bracket collapses to
-    ``phi = log_lower = log_upper = -inf`` with ``duality_gap = 0``,
-    status ``zero_diagonal`` and no optimization run.
-    """
-    neg_inf = float("-inf")
-    return BoundResult(
-        phi=neg_inf,
-        x_star=None,
-        iterations=0,
-        grad_norm=0.0,
-        trace_residual=0.0,
-        log_lower=neg_inf,
-        log_upper=neg_inf,
-        duality_gap=0.0,
-        gamma=GAMMA,
-        converged=True,
-        status="zero_diagonal",
-        objective_history=np.asarray([]),
-        n=psd.n,
-        d=psd.rank,
-    )
-
-
 def bound_permanent(matrix, options: SolverOptions | None = None) -> BoundResult:
     """Validate, factor, and bound in one call.
 
-    A zero diagonal entry forces ``per(A) = 0``; in that case the
-    `zero_diagonal_result` sentinel is returned and no optimization runs.
+    A zero diagonal entry gives a zero Gram row, and `solve` returns the
+    ``zero_diagonal`` result for it.
     """
-    psd = validate_hermitian_psd(matrix)
-    if psd.zero_diagonal_indices:
-        return zero_diagonal_result(psd)
-    factor = gram_factor(psd)
-    return solve(factor, options)
+    return solve(gram_factor(validate_hermitian_psd(matrix)), options)

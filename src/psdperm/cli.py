@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .bound import GAMMA, SolverOptions, solve, zero_diagonal_result
+from .bound import GAMMA, SolverOptions, solve
 from .errors import PsdPermError, TooLargeError
 from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
 from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
@@ -125,13 +125,12 @@ def cmd_gen(args) -> int:
 def cmd_pipeline(args) -> int:
     """``bound``, ``certify`` and ``estimate``: one validated input, one report.
 
-    ``bound`` and ``certify`` factor and solve, ``certify`` adds Ryser
-    and the sandwich verdict, and ``estimate`` (or ``certify
-    --mc-samples``) runs Monte Carlo.  A zero diagonal entry forces
-    ``per(A) = 0``: the report then carries `zero_diagonal_result`, and
-    factor, solve and Monte Carlo are skipped.  ``certify`` still runs
-    Ryser as a cross-check: for a true zero it returns exactly 0, and any
-    other value fails the check (exit 3).
+    ``bound`` and ``certify`` solve, ``certify`` adds Ryser and the
+    sandwich verdict, and ``estimate`` (or ``certify --mc-samples``) runs
+    Monte Carlo.  A zero diagonal entry forces ``per(A) = 0``: its Gram
+    row is zero, so `solve` returns the ``[-inf, -inf]`` bracket and
+    Monte Carlo an exact 0.  Only Ryser's exact 0 lies in that bracket;
+    any other value refutes the zero claim (exit 3).
     """
     verb = args.command
     timings: dict = {}
@@ -144,17 +143,14 @@ def cmd_pipeline(args) -> int:
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
     if verb == "certify":
         config["sandwich_slack"] = SANDWICH_SLACK
-    zero = bool(psd.zero_diagonal_indices)
     report = CertReport(command=verb, n=psd.n, d=psd.rank, gamma=GAMMA,
-                        permanent_is_zero=zero, timings=timings, config=config)
-    factor = None if zero else gram_factor(psd)
+                        permanent_is_zero=bool(psd.zero_diagonal_indices),
+                        timings=timings, config=config)
+    factor = gram_factor(psd)
 
     if verb != "estimate":
-        if zero:
-            res = zero_diagonal_result(psd)
-        else:
-            opts = SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters)
-            res = _timed(timings, "solve", solve, factor, opts)
+        opts = SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters)
+        res = _timed(timings, "solve", solve, factor, opts)
         if not res.converged:
             _log(f"warning: solver did not converge (status={res.status}, "
                  f"grad_norm={res.grad_norm:.3e})")
@@ -165,18 +161,10 @@ def cmd_pipeline(args) -> int:
         exact = _timed(timings, "exact", permanent_ryser, psd.matrix)
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
-        if zero:
-            # a zero claim stands only if Ryser agrees exactly
-            report.sandwich_ok = exact.log_abs == -math.inf
-        else:
-            report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
-                                      <= res.log_upper + SANDWICH_SLACK)
+        report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
+                                  <= res.log_upper + SANDWICH_SLACK)
 
-    if verb == "estimate" and zero:
-        report.mc_mean = report.mc_std_error = 0.0
-        report.mc_samples = args.mc_samples
-        report.mc_seed = args.seed
-    elif not zero and getattr(args, "mc_samples", 0):
+    if getattr(args, "mc_samples", 0):
         est = _timed(timings, "estimate", estimate_permanent, factor,
                      args.mc_samples, args.seed)
         if verb == "estimate" and est.mean > 0 and est.relative_std_error > 1.0:
@@ -189,7 +177,7 @@ def cmd_pipeline(args) -> int:
 
     _emit(report.to_dict(), args.out)
     if report.sandwich_ok is False:
-        if zero:
+        if report.permanent_is_zero:
             _log(f"error: diagonal entries {list(psd.zero_diagonal_indices)} were taken as "
                  f"zeros (A_ii <= 0), but Ryser gives log_per={exact.log_abs!r}")
         else:

@@ -23,10 +23,6 @@ class NotPSDError(PsdPermError):
     """Matrix is not positive semidefinite beyond tolerance."""
 
 
-class ZeroMatrixError(PsdPermError):
-    """Matrix is numerically zero (rank 0); no Gram factor exists."""
-
-
 class ReconstructionError(PsdPermError):
     """Gram factor fails to reproduce the source matrix within tolerance."""
 
@@ -36,7 +32,7 @@ class NotPositiveDefiniteError(PsdPermError):
 
 
 class ZeroRowError(PsdPermError):
-    """A Gram factor row is zero; the caller should have short-circuited."""
+    """A Gram factor row is zero, so the objective is ``-inf`` everywhere."""
 
 
 class TooLargeError(PsdPermError):

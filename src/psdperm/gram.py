@@ -29,8 +29,6 @@ from .errors import (
     NotPSDError,
     NotSquareError,
     ReconstructionError,
-    ZeroMatrixError,
-    ZeroRowError,
 )
 
 __all__ = [
@@ -243,13 +241,10 @@ class GramFactor:
     ----------
     matrix : np.ndarray
         Shape ``(n, d)`` with full column rank; row ``i`` is the Gram
-        vector of index ``i``.
-    row_norms_sq : np.ndarray
-        ``|v_i|^2`` per row; agrees with the source diagonal.
+        vector of index ``i``, zero when ``A_ii`` is.
     """
 
     matrix: np.ndarray
-    row_norms_sq: np.ndarray
 
     @property
     def n(self) -> int:
@@ -259,28 +254,26 @@ class GramFactor:
     def d(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def row_norms_sq(self) -> np.ndarray:
+        """``|v_i|^2`` per row, the diagonal of ``A``."""
+        return np.sum(np.abs(self.matrix) ** 2, axis=1)
+
+    @property
+    def has_zero_row(self) -> bool:
+        """Whether a row is exactly zero, which makes ``per(A) = 0``.
+
+        The test reads the entries, not `row_norms_sq`: a row of entries
+        near 1e-162 is not zero, though its squared norm underflows to 0.
+        """
+        return not self.matrix.any(axis=1).all()
+
 
 def gram_factor(psd: HermitianPSD) -> GramFactor:
     """The Gram factor of a validated matrix, which validation computed.
 
-    A zero diagonal entry forces ``per(A) = 0``; callers handle that
-    case before factoring (see `bound.zero_diagonal_result`).
-
-    Raises
-    ------
-    ZeroMatrixError
-        If the matrix is zero (rank 0).
-    ZeroRowError
-        If the matrix has a zero diagonal entry.
+    The row of a zero diagonal entry is zero, which makes ``per(A) = 0``;
+    `bound.solve` and `montecarlo.estimate_permanent` return that exact
+    answer.  The zero matrix has an ``(n, 0)`` factor.
     """
-    if psd.rank == 0:
-        raise ZeroMatrixError("matrix is zero; no Gram factor")
-    if psd.zero_diagonal_indices:
-        raise ZeroRowError(
-            f"diagonal entries {list(psd.zero_diagonal_indices)} are zero; "
-            "the permanent is exactly zero and must be short-circuited by the caller"
-        )
-    V = psd.factor
-    row_norms_sq = np.sum(np.abs(V) ** 2, axis=1)
-    _freeze(row_norms_sq)
-    return GramFactor(matrix=V, row_norms_sq=row_norms_sq)
+    return GramFactor(matrix=psd.factor)

@@ -188,7 +188,7 @@ def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateR
     the exact answer without sampling.
     """
     _check_samples(samples)
-    if np.any(factor.row_norms_sq <= 0.0):
+    if factor.has_zero_row:
         return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
     statistic = _row_product_statistic(factor.matrix, min(BATCH_SIZE, samples))
     return _sample_mean(statistic, factor.d, samples, seed)

@@ -54,7 +54,7 @@ def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
     if defect > 1e-8 * d:
         raise NotUnitaryError(f"||U^H U - I||_F = {defect:.3e} exceeds 1e-8 * {d}")
     W = factor.matrix @ U
-    return GramFactor(matrix=W, row_norms_sq=np.sum(np.abs(W) ** 2, axis=1))
+    return GramFactor(matrix=W)
 
 
 def random_pd(d: int, seed: int, jitter: float = 0.1) -> np.ndarray:

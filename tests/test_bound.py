@@ -35,11 +35,7 @@ from helpers import (
 
 
 def factor_of(matrix):
-    rows = np.asarray(matrix, dtype=complex)
-    return GramFactor(
-        matrix=rows,
-        row_norms_sq=np.sum(np.abs(rows) ** 2, axis=1),
-    )
+    return GramFactor(matrix=np.asarray(matrix, dtype=complex))
 
 
 # ---------------------------------------------------------------- objective
@@ -71,7 +67,6 @@ def test_pdpoint_rebuilds_matrix_and_factor_exactly():
     Xh = (X + X.conj().T) / 2.0
     assert point.d == 4
     assert point.matrix.tobytes() == Xh.tobytes()
-    assert point.chol.tobytes() == np.linalg.cholesky(Xh).tobytes()
     assert point.packed.size == 16
 
 
@@ -95,8 +90,11 @@ def test_objective_zero_row_raises():
         objective(bad, np.eye(1))
     with pytest.raises(ZeroRowError):
         gradient(bad, np.eye(1))
-    with pytest.raises(ZeroRowError):
-        solve(bad)
+    # solve turns the zero row into the exact answer per(A) = 0
+    res = solve(bad)
+    assert res.status == "zero_diagonal" and res.converged
+    assert res.phi == res.log_lower == res.log_upper == float("-inf")
+    assert (res.n, res.d) == (2, 1)
 
 
 # ----------------------------------------------------------------- gradient
@@ -444,9 +442,14 @@ def test_bound_permanent_pipeline():
     assert res.n == 7 and res.d == 4
 
 
-def test_bound_permanent_zero_diagonal_sentinel():
-    res = bound_permanent([[1.0, 0.0], [0.0, 0.0]])
+@pytest.mark.parametrize("matrix, d", [
+    pytest.param([[1.0, 0.0], [0.0, 0.0]], 1, id="zero-row"),
+    pytest.param(np.zeros((3, 3)), 0, id="zero-matrix"),
+])
+def test_bound_permanent_zero_diagonal_sentinel(matrix, d):
+    res = bound_permanent(matrix)
     assert res.status == "zero_diagonal"
+    assert res.n == len(matrix) and res.d == d
     assert res.converged
     assert res.phi == float("-inf")
     assert res.log_lower == float("-inf")

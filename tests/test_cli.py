@@ -157,11 +157,13 @@ def test_bound_report_matches_library(capsys, tmp_path, case):
 
 
 def test_certify_zero_diagonal(capsys, tmp_path):
-    code, rep = run(capsys, "certify", zero_diag_file(tmp_path))
+    code, rep = run(capsys, "certify", zero_diag_file(tmp_path), "--mc-samples", "1000")
     assert code == EXIT_OK
     assert rep["permanent_is_zero"] is True
     assert rep["sandwich_ok"] is True
     assert rep["log_per_exact"] is None  # log of exact zero
+    assert rep["mc_mean"] == 0.0 and rep["mc_std_error"] == 0.0
+    assert rep["mc_samples"] == 1000 and rep["mc_seed"] == 0
 
 
 def test_certify_refutes_a_false_zero(capsys, tmp_path):

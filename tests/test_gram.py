@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from psdperm import (
+    GramFactor,
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
-    ZeroMatrixError,
-    ZeroRowError,
     gen_instance,
     gram_factor,
     validate_hermitian_psd,
@@ -202,15 +201,20 @@ def test_gram_factor_identity():
 
 
 def test_gram_factor_zero_matrix():
-    with pytest.raises(ZeroMatrixError):
-        gram_factor(validate_hermitian_psd(np.zeros((3, 3))))
+    factor = gram_factor(validate_hermitian_psd(np.zeros((3, 3))))
+    assert factor.matrix.shape == (3, 0)
+    np.testing.assert_array_equal(factor.row_norms_sq, np.zeros(3))
 
 
-def test_gram_factor_drops_zero_rows():
-    # a zero diagonal entry forces per(A) = 0; the caller handles it first
-    psd = validate_hermitian_psd([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ZeroRowError):
-        gram_factor(psd)
+def test_gram_factor_keeps_zero_rows():
+    # a zero diagonal entry forces per(A) = 0, and its Gram row is exactly zero
+    factor = gram_factor(validate_hermitian_psd([[1.0, 0.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(factor.matrix, [[1.0], [0.0]])
+    np.testing.assert_array_equal(factor.row_norms_sq, [1.0, 0.0])
+    assert factor.has_zero_row
+    # |v_1|^2 = 1e-340 underflows to 0, but the row is not zero
+    tiny = GramFactor(matrix=np.array([[1.0], [1e-170]], dtype=complex))
+    assert tiny.row_norms_sq[1] == 0.0 and not tiny.has_zero_row
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -26,11 +26,7 @@ from psdperm import montecarlo
 
 
 def factor_of(matrix):
-    rows = np.asarray(matrix, dtype=complex)
-    return GramFactor(
-        matrix=rows,
-        row_norms_sq=np.sum(np.abs(rows) ** 2, axis=1),
-    )
+    return GramFactor(matrix=np.asarray(matrix, dtype=complex))
 
 
 # ---------------------------------------------------------------- generator
