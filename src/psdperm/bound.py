@@ -35,10 +35,15 @@ Two Newton systems compute ``Phi(A)``; the shape alone picks one.
 
 `solve` uses the dual when ``n < d^2`` and the primal otherwise: the
 dual was measured faster on wide shapes, and no crossover measurement
-moves the rule yet.  Both run through one damped Newton driver:
-Cholesky checks keep the iterates feasible (``X`` positive definite in
-the primal; ``t > 0`` and ``S`` positive definite in the dual), and a
-step is accepted by the Armijo rule with a slack of
+moves the rule yet.  Both run through one damped Newton driver, which
+asks each problem for three things: ``evaluate``, the whole point (the
+minimized function and its gradient, the primal point ``X``, ``phi`` and
+its gradient norm), or None outside the domain, which Cholesky checks
+decide (``X`` positive definite in the primal; ``t > 0`` and ``S``
+positive definite in the dual); ``direction``, the Newton step; and
+``dual_value``, the upper endpoint.  One function computes ``q``,
+``X^{-1}``, the gradient and ``phi`` at a primal point, once per point.
+A step is accepted by the Armijo rule with a slack of
 ``16 eps max(1, |f|)``, the floating point resolution of the objective,
 so that Newton steps near the optimum whose predicted gain is below
 roundoff are still taken.  On either path convergence is judged by the
@@ -179,10 +184,8 @@ class BoundResult:
     log_lower: float
     log_upper: float
     duality_gap: float
-    gamma: float
     converged: bool
     status: str
-    objective_history: np.ndarray
     n: int
     d: int
 
@@ -205,19 +208,23 @@ def _check_rows(factor: GramFactor) -> None:
         )
 
 
+def _at_point(factor: GramFactor, point) -> tuple:
+    """`_evaluate` at a `PDPoint` or a raw Hermitian PD matrix."""
+    if not isinstance(point, PDPoint):
+        point = PDPoint.from_matrix(point)
+    _check_rows(factor)
+    X = point.matrix
+    return _evaluate(factor.matrix, X, np.linalg.cholesky(X))
+
+
 def objective(factor: GramFactor, point) -> float:
     """Evaluate ``phi`` at a positive definite point.
 
     `point` may be a `PDPoint` or a raw Hermitian PD matrix.  Returns
     ``-inf`` if any quadratic form ``v_i^dagger X v_i`` underflows to a
-    nonpositive value, which keeps infeasible line-search trials
-    comparable without raising.
+    nonpositive value.
     """
-    if not isinstance(point, PDPoint):
-        point = PDPoint.from_matrix(point)
-    _check_rows(factor)
-    X = point.matrix
-    return _objective_from_parts(_quadratic_forms(factor.matrix, X), X, np.linalg.cholesky(X))
+    return _at_point(factor, point)[3]
 
 
 def gradient(factor: GramFactor, point) -> np.ndarray:
@@ -226,29 +233,28 @@ def gradient(factor: GramFactor, point) -> np.ndarray:
     Returned exactly Hermitian (symmetrized).  At the maximizer this is
     zero, which forces ``tr X* = n + d``.
     """
-    if not isinstance(point, PDPoint):
-        point = PDPoint.from_matrix(point)
-    _check_rows(factor)
-    X = point.matrix
-    return _gradient_parts(factor.matrix, X, np.linalg.cholesky(X))[2]
+    return _at_point(factor, point)[2]
 
 
 def _log_det_chol(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
-def _objective_from_parts(q, X, chol) -> float:
-    if np.min(q) <= 0.0:
-        return float("-inf")
-    return float(np.sum(np.log(q)) + _log_det_chol(chol) - np.real(np.trace(X)) + X.shape[0])
+def _evaluate(V: np.ndarray, X: np.ndarray, chol: np.ndarray) -> tuple:
+    """``(q, X^{-1}, G, phi)`` at ``X`` from its lower Cholesky factor.
 
-
-def _gradient_parts(V, X, chol) -> tuple:
-    """``q``, ``X^{-1}`` and the Hermitian gradient of ``phi`` at ``X``."""
+    ``q_i = v_i^dagger X v_i`` and ``G`` is the Hermitian gradient of
+    ``phi``.  A ``q_i`` that underflows to a nonpositive value makes
+    ``phi = -inf`` and ``G`` NaN, with no division by it.
+    """
+    d = X.shape[0]
     q = _quadratic_forms(V, X)
     Xinv = _inverse_from_chol(chol)
-    G = (V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(X.shape[0])
-    return q, Xinv, _hermitian(G)
+    if not np.min(q) > 0.0:
+        return q, Xinv, np.full_like(Xinv, np.nan), float("-inf")
+    G = _hermitian((V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(d))
+    phi = float(np.sum(np.log(q)) + _log_det_chol(chol) - np.real(np.trace(X)) + d)
+    return q, Xinv, G, phi
 
 
 def _inverse_from_chol(chol) -> np.ndarray:
@@ -274,9 +280,16 @@ def _dual_objective(t: np.ndarray, chol: np.ndarray) -> float:
     return -_log_det_chol(chol) - float(np.sum(np.log(t))) - t.shape[0]
 
 
+def _dual_start(V: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """``t_i = 1/q_i(X0)``, pulled inside the dual domain when ``M(t)`` is not below ``I``."""
+    t = 1.0 / _quadratic_forms(V, X0)
+    lam = float(np.linalg.eigvalsh((V.T * t) @ V.conj())[-1])
+    return t / (2.0 * lam) if lam >= 1.0 else t
+
+
 @dataclass(frozen=True)
 class _Iterate:
-    """One accepted point of the Newton driver, seen by both problems.
+    """One evaluated point of the Newton driver, seen by both problems.
 
     `z` lives in the oracle's coordinates, and `f` and `grad` are the
     value and gradient there of the function the oracle minimizes.  `x`,
@@ -300,18 +313,12 @@ class _PrimalOracle:
     def __init__(self, V: np.ndarray):
         self.V = V
 
-    def start(self, X0: np.ndarray) -> np.ndarray:
-        return X0
-
-    def pd_matrix(self, X):
-        return X
-
-    def value(self, X, _, chol) -> float:
-        return -_objective_from_parts(_quadratic_forms(self.V, X), X, chol)
-
-    def iterate(self, X, _, chol, f) -> _Iterate:
-        q, Xinv, G = _gradient_parts(self.V, X, chol)
-        return _Iterate(z=X, f=f, grad=-G, x=X, phi=-f,
+    def evaluate(self, X: np.ndarray) -> _Iterate | None:
+        chol = _try_chol(X)
+        if chol is None:
+            return None
+        q, Xinv, G, phi = _evaluate(self.V, X, chol)
+        return _Iterate(z=X, f=-phi, grad=-G, x=X, phi=phi,
                         grad_norm=float(np.linalg.norm(G)), aux=(q, Xinv))
 
     def apply_hessian(self, it: _Iterate, D: np.ndarray) -> np.ndarray:
@@ -360,26 +367,16 @@ class _DualOracle:
     def __init__(self, V: np.ndarray):
         self.V = V
 
-    def start(self, X0: np.ndarray) -> np.ndarray:
-        # t_i = 1/q_i(X0), pulled inside the domain when M(t) is not below I
+    def evaluate(self, t: np.ndarray) -> _Iterate | None:
+        if not np.all(t > 0.0):
+            return None
         V = self.V
-        t = 1.0 / _quadratic_forms(V, X0)
-        lam = float(np.linalg.eigvalsh((V.T * t) @ V.conj())[-1])
-        return t / (2.0 * lam) if lam >= 1.0 else t
-
-    def pd_matrix(self, t):
-        return _dual_slack(self.V, t) if np.all(t > 0.0) else None
-
-    def value(self, t, S, chol) -> float:
-        return _dual_objective(t, chol)
-
-    def iterate(self, t, S, chol, f) -> _Iterate:
-        V = self.V
+        chol = _try_chol(_dual_slack(V, t))
+        if chol is None:
+            return None
         X = _inverse_from_chol(chol)  # the primal point S^{-1}
-        x_chol = np.linalg.cholesky(X)
-        q, _, G = _gradient_parts(V, X, x_chol)  # q_i = v_i^H S^{-1} v_i
-        return _Iterate(z=t, f=f, grad=q - 1.0 / t, x=X,
-                        phi=_objective_from_parts(q, X, x_chol),
+        q, _, G, phi = _evaluate(V, X, np.linalg.cholesky(X))  # q_i = v_i^H S^{-1} v_i
+        return _Iterate(z=t, f=_dual_objective(t, chol), grad=q - 1.0 / t, x=X, phi=phi,
                         grad_norm=float(np.linalg.norm(G)), aux=V.conj() @ (X @ V.T))
 
     def direction(self, it: _Iterate) -> np.ndarray:
@@ -393,24 +390,17 @@ class _DualOracle:
 def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
     """Damped Newton minimization of the oracle's convex function from feasible `z`.
 
-    The oracle supplies ``pd_matrix(z)``, the Hermitian matrix whose
-    positive definiteness makes `z` feasible (None when `z` is outside
-    the domain for another reason), ``value(z, M, chol)`` given that
-    matrix and its Cholesky factor, ``iterate(z, M, chol, f)``, which
-    builds an `_Iterate`, ``direction(it)``, the Newton step (a dense
+    The oracle supplies ``evaluate(z)``, the `_Iterate` at `z` or None
+    outside the domain, ``direction(it)``, the Newton step (a dense
     solve in the dual, preconditioned CG in the primal), and
     ``dual_value(it)``.  Gradients and steps may be vectors or Hermitian
     matrices; their inner product is ``Re vdot``.
 
-    Returns ``(best, iterations, status, history)``: `best` is the
-    iterate with the largest primal objective, replaced by any later one
-    that has converged, and `history` the running best primal objective
-    after each iteration.
+    Returns ``(best, iterations, status)``: `best` is the iterate with
+    the largest primal objective, replaced by any later one that has
+    converged.
     """
-    M = oracle.pd_matrix(z)
-    chol = _try_chol(M)
-    it = best = oracle.iterate(z, M, chol, oracle.value(z, M, chol))
-    history = [best.phi]
+    it = best = oracle.evaluate(z)
     values = [it.f]
     iterations = 0
     status = "max_iters"
@@ -433,14 +423,10 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
         step = 1.0
         accepted = None
         for _ in range(MAX_BACKTRACKS):
-            zt = it.z + step * delta
-            Mt = oracle.pd_matrix(zt)
-            cholt = None if Mt is None else _try_chol(Mt)
-            if cholt is not None:
-                ft = oracle.value(zt, Mt, cholt)
-                if ft <= it.f + ARMIJO_C * step * slope + slack:
-                    accepted = oracle.iterate(zt, Mt, cholt, ft)
-                    break
+            trial = oracle.evaluate(it.z + step * delta)
+            if trial is not None and trial.f <= it.f + ARMIJO_C * step * slope + slack:
+                accepted = trial
+                break
             step *= BACKTRACK_FACTOR
         iterations += 1
 
@@ -450,7 +436,6 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
         it = accepted
         if it.phi >= best.phi or it.grad_norm <= opts.grad_tol:
             best = it
-        history.append(best.phi)
         values.append(it.f)
 
         if (
@@ -463,7 +448,7 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
 
     if best.grad_norm <= opts.grad_tol:
         status = "converged"
-    return best, iterations, status, history
+    return best, iterations, status
 
 
 def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResult:
@@ -488,12 +473,14 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     if factor.has_zero_row:
         return BoundResult(phi=-math.inf, x_star=None, iterations=0, grad_norm=0.0,
                            trace_residual=0.0, log_lower=-math.inf, log_upper=-math.inf,
-                           duality_gap=0.0, gamma=GAMMA, converged=True, status="zero_diagonal",
-                           objective_history=np.asarray([]), n=n, d=d)
+                           duality_gap=0.0, converged=True, status="zero_diagonal", n=n, d=d)
 
     X0 = ((n + d) / d) * np.eye(d, dtype=complex)
-    oracle = _DualOracle(V) if n < d * d else _PrimalOracle(V)
-    best, iterations, status, history = _newton(oracle, oracle.start(X0), opts)
+    if n < d * d:
+        oracle, z0 = _DualOracle(V), _dual_start(V, X0)
+    else:
+        oracle, z0 = _PrimalOracle(V), X0
+    best, iterations, status = _newton(oracle, z0, opts)
 
     X, phi = best.x, best.phi
     # at convergence the dual value can land a few ulps under phi
@@ -507,10 +494,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
         log_lower=phi - GAMMA * n,
         log_upper=log_upper,
         duality_gap=log_upper - phi,
-        gamma=GAMMA,
         converged=(status == "converged"),
         status=status,
-        objective_history=np.asarray(history),
         n=n,
         d=d,
     )

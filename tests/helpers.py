@@ -76,9 +76,11 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 def newton_from_identity(factor: GramFactor):
     """`solve`'s Newton driver and oracle choice, started at ``X0 = I``.
 
-    Returns ``(best, iterations, status, history)`` as `bound._newton`.
+    Returns ``(best, iterations, status)`` as `bound._newton`.
     """
     V = factor.matrix
     n, d = V.shape
-    oracle = (bound._DualOracle if n < d * d else bound._PrimalOracle)(V)
-    return bound._newton(oracle, oracle.start(np.eye(d, dtype=complex)), SolverOptions())
+    X0 = np.eye(d, dtype=complex)
+    if n < d * d:
+        return bound._newton(bound._DualOracle(V), bound._dual_start(V, X0), SolverOptions())
+    return bound._newton(bound._PrimalOracle(V), X0, SolverOptions())
