@@ -51,6 +51,9 @@ primal gradient norm at the primal point.  The reported upper endpoint
 is the dual value at ``t`` (``t_i = 1/q_i(X)`` on the primal path),
 which bounds ``Phi(A)`` from above at any iterate, and the lower one is
 ``phi(X) - gamma * n``, so the bracket holds even after an early stop.
+Both problems see the unit rows ``v_i / |v_i|``, which leave ``X*``
+alone and move ``phi`` by ``-sum_i log |v_i|^2``, added back after; so
+no ``q_i`` leaves the float range, whatever the diagonal of ``A``.
 
 All linear algebra here is numpy's.  scipy ships its own OpenBLAS with
 its own thread pool, and alternating small calls between the two pools
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ZeroRowError
-from .gram import GramFactor, gram_factor, hermitian_part, validate_hermitian_psd
+from .gram import GramFactor, gram_factor, hermitian_part, unit_rows, validate_hermitian_psd
 
 __all__ = [
     "GAMMA",
@@ -200,31 +203,28 @@ def _quadratic_forms(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ij,ij->i", V.conj(), V @ X.T))
 
 
-def _check_rows(factor: GramFactor) -> None:
+def _at_point(factor: GramFactor, point) -> tuple:
+    """``(G, phi)`` at a `PDPoint` or a raw Hermitian PD matrix, from the unit rows."""
+    if not isinstance(point, PDPoint):
+        point = PDPoint.from_matrix(point)
     if factor.has_zero_row:
         raise ZeroRowError(
             "Gram factor has a zero row, so phi is -inf everywhere; "
             "the permanent is exactly zero (see solve)"
         )
-
-
-def _at_point(factor: GramFactor, point) -> tuple:
-    """`_evaluate` at a `PDPoint` or a raw Hermitian PD matrix."""
-    if not isinstance(point, PDPoint):
-        point = PDPoint.from_matrix(point)
-    _check_rows(factor)
+    U, shift = unit_rows(factor)
     X = point.matrix
-    return _evaluate(factor.matrix, X, np.linalg.cholesky(X))
+    _, _, G, phi = _evaluate(U, X, np.linalg.cholesky(X))
+    return G, phi + shift
 
 
 def objective(factor: GramFactor, point) -> float:
     """Evaluate ``phi`` at a positive definite point.
 
-    `point` may be a `PDPoint` or a raw Hermitian PD matrix.  Returns
-    ``-inf`` if any quadratic form ``v_i^dagger X v_i`` underflows to a
-    nonpositive value.
+    `point` may be a `PDPoint` or a raw Hermitian PD matrix.  It is
+    evaluated on the unit rows of `gram.unit_rows`, with their shift.
     """
-    return _at_point(factor, point)[3]
+    return _at_point(factor, point)[1]
 
 
 def gradient(factor: GramFactor, point) -> np.ndarray:
@@ -233,7 +233,7 @@ def gradient(factor: GramFactor, point) -> np.ndarray:
     Returned exactly Hermitian (symmetrized).  At the maximizer this is
     zero, which forces ``tr X* = n + d``.
     """
-    return _at_point(factor, point)[2]
+    return _at_point(factor, point)[0]
 
 
 def _log_det_chol(chol: np.ndarray) -> float:
@@ -375,7 +375,10 @@ class _DualOracle:
         if chol is None:
             return None
         X = _inverse_from_chol(chol)  # the primal point S^{-1}
-        q, _, G, phi = _evaluate(V, X, np.linalg.cholesky(X))  # q_i = v_i^H S^{-1} v_i
+        x_chol = _try_chol(X)  # fails only where S is singular to working precision
+        if x_chol is None:
+            return None
+        q, _, G, phi = _evaluate(V, X, x_chol)  # q_i = v_i^H S^{-1} v_i
         return _Iterate(z=t, f=_dual_objective(t, chol), grad=q - 1.0 / t, x=X, phi=phi,
                         grad_norm=float(np.linalg.norm(G)), aux=V.conj() @ (X @ V.T))
 
@@ -456,7 +459,8 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
 
     Runs Newton on the dual when ``n < d^2`` and on the primal otherwise
     (see the module docstring), starting from ``X0 = ((n + d)/d) I``,
-    which already has the optimal trace.  Returns a `BoundResult` with the
+    which already has the optimal trace, on the unit rows of
+    `gram.unit_rows`; their shift is added to ``phi`` and both endpoints.  Returns a `BoundResult` with the
     certified interval endpoints in log domain.  On non-convergence the
     best iterate found is still returned, with ``converged=False`` and a
     diagnostic `status`; its endpoints are still bounds, and `log_upper`
@@ -475,16 +479,17 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
                            trace_residual=0.0, log_lower=-math.inf, log_upper=-math.inf,
                            duality_gap=0.0, converged=True, status="zero_diagonal", n=n, d=d)
 
+    U, shift = unit_rows(factor)
     X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     if n < d * d:
-        oracle, z0 = _DualOracle(V), _dual_start(V, X0)
+        oracle, z0 = _DualOracle(U), _dual_start(U, X0)
     else:
-        oracle, z0 = _PrimalOracle(V), X0
+        oracle, z0 = _PrimalOracle(U), X0
     best, iterations, status = _newton(oracle, z0, opts)
 
-    X, phi = best.x, best.phi
+    X, phi = best.x, shift + best.phi
     # at convergence the dual value can land a few ulps under phi
-    log_upper = max(oracle.dual_value(best), phi)
+    log_upper = shift + max(oracle.dual_value(best), best.phi)
     return BoundResult(
         phi=phi,
         x_star=PDPoint._of_hermitian(X),

@@ -283,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     def solver_flags(p):
         p.add_argument("--grad-tol", type=_checked(float, lambda v: 0.0 < v < math.inf,
                                                    "finite and above 0"),
-                       default=1e-9, help="gradient norm target for the maximizer")
+                       default=SolverOptions.grad_tol,
+                       help="gradient norm target for the maximizer")
         p.add_argument("--max-iters", type=_checked(int, lambda v: v >= 1, "at least 1"),
-                       default=500)
+                       default=SolverOptions.max_iters)
 
     p = sub.add_parser("gen", help="generate an instance from a named ensemble")
     p.add_argument("--n", type=int, required=True)

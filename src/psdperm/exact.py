@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError
-from .gram import as_complex_matrix
+from .gram import as_complex_matrix, exp_or_inf
 
 __all__ = ["NAIVE_LIMIT", "RYSER_LIMIT", "ExactResult", "permanent_naive", "permanent_ryser"]
 
@@ -137,7 +137,8 @@ def permanent_ryser(matrix) -> ExactResult:
     per = complex(2 * (-1) ** m * total)
     if per == 0:
         return _result(0j, "ryser", n)
-    scale = math.prod(mags.tolist())  # inf or 0 past the float range; log_abs is not
+    log_scale = float(np.log(mags).sum())
+    scale = exp_or_inf(log_scale)  # inf or 0 past the float range; log_abs is not
     value = complex(per.real * scale if per.real else 0.0, per.imag * scale if per.imag else 0.0)
-    log_abs = math.log(abs(per)) + float(np.log(mags).sum())
+    log_abs = math.log(abs(per)) + log_scale
     return ExactResult(value=value, log_abs=log_abs, method="ryser", n=n)

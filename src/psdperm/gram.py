@@ -42,6 +42,8 @@ __all__ = [
     "hermitian_part",
     "validate_hermitian_psd",
     "gram_factor",
+    "unit_rows",
+    "exp_or_inf",
 ]
 
 
@@ -92,14 +94,10 @@ class HermitianPSD:
     factor : np.ndarray
         ``V = D^{1/2} L``, shape ``(n, rank)``: column ``k`` comes from
         the ``k``-th pivot, and the row of a zero diagonal entry is 0.
-    zero_diagonal_indices : tuple
-        Indices ``i`` with ``A_ii <= 0``.  Any such index forces
-        ``per(A) = 0``, since PSD structure makes the whole row zero.
     """
 
     matrix: np.ndarray
     factor: np.ndarray
-    zero_diagonal_indices: tuple
 
     @property
     def n(self) -> int:
@@ -109,6 +107,24 @@ class HermitianPSD:
     def rank(self) -> int:
         """Number of pivots above the rank cutoff."""
         return self.factor.shape[1]
+
+    @property
+    def zero_diagonal_indices(self) -> tuple:
+        """Indices ``i`` with ``A_ii <= 0``: the exactly zero rows of `factor`.
+
+        Any such index forces ``per(A) = 0``, since PSD structure makes
+        the whole row zero.
+        """
+        return tuple(np.flatnonzero(_zero_rows(self.factor)).tolist())
+
+
+def _zero_rows(V: np.ndarray) -> np.ndarray:
+    """Whether each row of `V` is exactly zero, read from the entries.
+
+    A row of entries near 1e-162 is not zero, though its squared norm
+    underflows to 0.
+    """
+    return ~V.any(axis=1)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -153,8 +169,8 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
     Returns
     -------
     HermitianPSD
-        Frozen record with the Hermitized matrix, its Gram factor and
-        its zero-diagonal index list.
+        Frozen record with the Hermitized matrix and its Gram factor,
+        whose row is zero exactly where ``A_ii <= 0``.
 
     Raises
     ------
@@ -226,11 +242,7 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
 
     V = L * np.sqrt(np.where(zero, 0.0, diag))[:, None]
     _freeze(A, V)
-    return HermitianPSD(
-        matrix=A,
-        factor=V,
-        zero_diagonal_indices=tuple(np.flatnonzero(zero).tolist()),
-    )
+    return HermitianPSD(matrix=A, factor=V)
 
 
 @dataclass(frozen=True)
@@ -261,12 +273,8 @@ class GramFactor:
 
     @property
     def has_zero_row(self) -> bool:
-        """Whether a row is exactly zero, which makes ``per(A) = 0``.
-
-        The test reads the entries, not `row_norms_sq`: a row of entries
-        near 1e-162 is not zero, though its squared norm underflows to 0.
-        """
-        return not self.matrix.any(axis=1).all()
+        """Whether a row is exactly zero, which makes ``per(A) = 0``."""
+        return bool(_zero_rows(self.matrix).any())
 
 
 def gram_factor(psd: HermitianPSD) -> GramFactor:
@@ -277,3 +285,29 @@ def gram_factor(psd: HermitianPSD) -> GramFactor:
     answer.  The zero matrix has an ``(n, 0)`` factor.
     """
     return GramFactor(matrix=psd.factor)
+
+
+def unit_rows(factor: GramFactor) -> tuple:
+    """The rows ``v_i / |v_i|`` of a factor with no zero row, and ``sum_i log |v_i|^2``.
+
+    Each row is divided by its largest entry modulus before its norm is
+    taken, so neither the norm nor its logarithm leaves the float range.
+    Scaling row ``i`` by ``a_i`` scales ``A_ii`` by ``|a_i|^2``: it
+    leaves the maximizer ``X*`` where it is and moves ``log per``, ``phi``
+    and both endpoints by ``sum_i log |a_i|^2``, so the solver and the
+    sampler work on the unit rows and add the returned shift back.
+    """
+    V = factor.matrix
+    top = np.abs(V).max(axis=1)
+    U = V / top[:, None]
+    norms = np.linalg.norm(U, axis=1)
+    U /= norms[:, None]
+    return U, 2.0 * float(np.sum(np.log(top) + np.log(norms)))
+
+
+def exp_or_inf(x: float) -> float:
+    """``e^x``, or ``inf`` where it passes the float range, to add a log scale back."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf

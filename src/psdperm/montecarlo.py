@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramFactor
+from .gram import GramFactor, exp_or_inf, unit_rows
 
 __all__ = [
     "philox_generator",
@@ -185,13 +185,20 @@ def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateR
     """Unbiased Monte Carlo estimate of ``per(A)`` from its Gram factor.
 
     A zero Gram row makes the permanent exactly zero; that case returns
-    the exact answer without sampling.
+    the exact answer without sampling.  The product runs on the unit
+    rows of `gram.unit_rows`, so it stays in the float range whatever
+    the diagonal's; the mean and the standard error are scaled back by
+    ``e^shift = prod_i |v_i|^2``.
     """
     _check_samples(samples)
     if factor.has_zero_row:
         return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
-    statistic = _row_product_statistic(factor.matrix, min(BATCH_SIZE, samples))
-    return _sample_mean(statistic, factor.d, samples, seed)
+    U, shift = unit_rows(factor)
+    statistic = _row_product_statistic(U, min(BATCH_SIZE, samples))
+    est = _sample_mean(statistic, factor.d, samples, seed)
+    scale = exp_or_inf(shift)
+    return EstimateResult(mean=est.mean * scale, std_error=est.std_error * scale,
+                          samples=samples, seed=seed)
 
 
 def calibrate_gamma(samples: int, seed: int) -> EstimateResult:

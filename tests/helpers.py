@@ -13,6 +13,7 @@ from psdperm import (
     philox_generator,
     sample_standard_complex_gaussian,
 )
+from psdperm.gram import unit_rows
 
 
 class NotUnitaryError(ValueError):
@@ -76,9 +77,11 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 def newton_from_identity(factor: GramFactor):
     """`solve`'s Newton driver and oracle choice, started at ``X0 = I``.
 
-    Returns ``(best, iterations, status)`` as `bound._newton`.
+    Returns ``(best, iterations, status)`` as `bound._newton`; like
+    `solve`, it runs on the unit rows, so ``best.phi`` lacks their
+    ``gram.unit_rows`` shift.
     """
-    V = factor.matrix
+    V = unit_rows(factor)[0]
     n, d = V.shape
     X0 = np.eye(d, dtype=complex)
     if n < d * d:

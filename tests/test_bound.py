@@ -24,6 +24,7 @@ from psdperm import (
     permanent_ryser,
     solve,
 )
+from psdperm.gram import unit_rows
 from helpers import (
     apply_unitary,
     newton_from_identity,
@@ -71,9 +72,15 @@ def test_pdpoint_rebuilds_matrix_and_factor_exactly():
 
 
 def test_objective_underflow_sentinel():
-    # v^H X v = 1e-400 underflows to exactly 0 -> -inf, not an exception
+    # objective works on the unit row and adds log|v|^2 back, so the
+    # v^H X v = 1e-400 that underflows on the raw row does no harm
     val = objective(factor_of([[1e-100]]), np.array([[1e-200]]))
-    assert val == float("-inf")
+    assert val == pytest.approx(3 * math.log(1e-200) + 1.0, rel=1e-14)
+    # on the raw row q underflows to exactly 0: phi = -inf and a NaN
+    # gradient, with no division by zero
+    X = np.array([[1e-200 + 0j]])
+    q, _, G, phi = bound._evaluate(np.array([[1e-100 + 0j]]), X, np.linalg.cholesky(X))
+    assert q[0] == 0.0 and phi == float("-inf") and np.isnan(G).all()
 
 
 def test_objective_rejects_non_pd():
@@ -171,7 +178,7 @@ def test_solve_identity_init_agrees():
     a = solve(factor)
     b, _, status = newton_from_identity(factor)
     assert a.converged and status == "converged"
-    assert a.phi == pytest.approx(b.phi, abs=1e-9)
+    assert a.phi == pytest.approx(b.phi + unit_rows(factor)[1], abs=1e-9)
 
 
 def test_solve_iteration_budget():
@@ -187,7 +194,8 @@ def test_solve_iteration_budget():
 
 
 def _run_oracle(oracle_cls, factor):
-    V = factor.matrix
+    # on the unit rows, as solve runs it
+    V = unit_rows(factor)[0]
     n, d = V.shape
     X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     z0 = bound._dual_start(V, X0) if oracle_cls is bound._DualOracle else X0
@@ -208,7 +216,7 @@ def test_primal_and_dual_oracles_agree(n, d):
     # the public gradient at x_star
     res = solve(factor)
     chosen = bound._DualOracle if n < d * d else bound._PrimalOracle
-    assert res.phi == phis[chosen]
+    assert res.phi == unit_rows(factor)[1] + phis[chosen]
     assert float(np.linalg.norm(gradient(factor, res.x_star))) == res.grad_norm
 
 
@@ -240,7 +248,7 @@ def test_primal_and_dual_oracles_agree_on_hard_factors(kind, n, d):
 
 
 def _primal_iterate(factor, X):
-    oracle = bound._PrimalOracle(factor.matrix)
+    oracle = bound._PrimalOracle(unit_rows(factor)[0])
     return oracle, oracle.evaluate(X)
 
 
@@ -432,6 +440,19 @@ def test_bound_permanent_pipeline():
     assert res.converged
     assert res.phi == pytest.approx(direct.phi, abs=1e-12)
     assert res.n == 7 and res.d == 4
+
+
+@pytest.mark.parametrize("t", [1e-323, 2e-323])
+def test_bound_permanent_at_the_bottom_of_the_float_range(t):
+    # a_33 = t is subnormal and the Gram row of index 3 is ~1e-162: on the
+    # raw rows 1/q_i overflows; on the unit rows the bracket holds
+    c = math.sqrt(t) / math.sqrt(2.0)
+    A = np.array([[1.0, 0.0, c], [0.0, 1.0, c], [c, c, t]])
+    res = bound_permanent(A)
+    assert res.converged
+    log_per = permanent_ryser(A).log_abs
+    assert math.isfinite(res.log_lower) and math.isfinite(res.log_upper)
+    assert res.log_lower <= log_per <= res.log_upper
 
 
 @pytest.mark.parametrize("matrix, d", [

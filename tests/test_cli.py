@@ -197,9 +197,10 @@ def test_certify_refutes_a_zero_claim_on_a_near_psd_input(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tiny", [1e-13, 1e-11])
+@pytest.mark.parametrize("tiny", [1e-13, 1e-11, 1e-310])
 def test_bound_on_a_tiny_diagonal_entry(capsys, tmp_path, tiny):
-    # a positive diagonal entry is never a zero, and never a dropped rank
+    # a positive diagonal entry is never a zero, and never a dropped rank;
+    # a subnormal one leaves the solver's unit rows in the float range
     path = tmp_path / "tiny.json"
     A = np.diag([1.0, 0.5, tiny])
     write_instance(InstanceFile(matrix=A), path)
@@ -211,7 +212,7 @@ def test_bound_on_a_tiny_diagonal_entry(capsys, tmp_path, tiny):
     assert rep["log_lower"] <= log_per <= rep["log_upper"]
 
 
-@pytest.mark.parametrize("spread", [20, 100])
+@pytest.mark.parametrize("spread", [20, 100, 300])
 def test_certify_on_a_wide_diagonal_range(capsys, tmp_path, spread):
     # D A D with diagonal entries spread over 10^(+-spread): per(DAD) =
     # prod d_i^2 per(A), far outside the float range, and the bracket holds
@@ -224,6 +225,7 @@ def test_certify_on_a_wide_diagonal_range(capsys, tmp_path, spread):
     code, rep = run(capsys, "certify", str(path))
     assert code == EXIT_OK
     assert rep["permanent_is_zero"] is False and rep["sandwich_ok"] is True
+    assert rep["status"] == "converged"
     want = permanent_ryser(A).log_abs + float(np.sum(log10_d2)) * math.log(10.0)
     assert abs(rep["log_per_exact"] - want) <= 1e-9
 

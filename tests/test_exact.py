@@ -132,3 +132,14 @@ def test_result_fields():
     naive = permanent_naive(np.eye(2))
     assert naive.method == "naive"
     assert naive.log_abs == 0.0
+
+
+def test_ryser_value_when_the_diagonal_product_overflows_midway():
+    # prod a_ii = 1 here, but a running product of the diagonal passes
+    # 1e308 after two factors; the value must not read inf
+    A = gen_instance(8, 3, seed=2).matrix
+    s = np.array((1e100,) * 4 + (1e-100,) * 4)
+    scaled = permanent_ryser(s[:, None] * A * s)
+    want = permanent_ryser(A).value
+    assert abs(scaled.value - want) <= 1e-12 * abs(want)
+    assert scaled.log_abs == pytest.approx(math.log(abs(want)), abs=1e-12)

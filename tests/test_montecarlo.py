@@ -21,6 +21,7 @@ from psdperm import (
     permanent_ryser,
     philox_generator,
     sample_standard_complex_gaussian,
+    validate_hermitian_psd,
 )
 from psdperm import montecarlo
 
@@ -214,6 +215,18 @@ def test_estimate_memory_does_not_grow_with_samples():
     large = _traced_peak(estimate_permanent, factor, 200_000, 1)
     assert large < 8e6
     assert large <= 1.5 * small
+
+
+def test_estimate_is_row_scale_free():
+    # rows scaled by 1e100 and 1e-100 leave per(A) alone; the product of
+    # the raw rows would pass the float range, the unit rows' does not
+    psd = gen_instance(8, 3, seed=2)
+    s = np.array((1e100,) * 4 + (1e-100,) * 4)
+    scaled = gram_factor(validate_hermitian_psd(s[:, None] * psd.matrix * s))
+    base = estimate_permanent(gram_factor(psd), 20_000, seed=5)
+    moved = estimate_permanent(scaled, 20_000, seed=5)
+    assert moved.mean == pytest.approx(base.mean, rel=1e-9)
+    assert moved.std_error == pytest.approx(base.std_error, rel=1e-9)
 
 
 def test_estimate_zero_row_short_circuits():
