@@ -444,8 +444,8 @@ def test_bound_permanent_pipeline():
 
 @pytest.mark.parametrize("t", [1e-323, 2e-323])
 def test_bound_permanent_at_the_bottom_of_the_float_range(t):
-    # a_33 = t is subnormal and the Gram row of index 3 is ~1e-162: on the
-    # raw rows 1/q_i overflows; on the unit rows the bracket holds
+    # the last diagonal entry t is subnormal and its Gram row ~1e-162: on
+    # the raw rows 1/q_i overflows; on the unit rows the bracket holds
     c = math.sqrt(t) / math.sqrt(2.0)
     A = np.array([[1.0, 0.0, c], [0.0, 1.0, c], [c, c, t]])
     res = bound_permanent(A)
