@@ -49,7 +49,6 @@ from .exact import (
     permanent_ryser,
 )
 from .gram import (
-    GramFactor,
     HermitianPSD,
     gram_factor,
     validate_hermitian_psd,
@@ -76,7 +75,6 @@ __all__ = [
     "__version__",
     # gram
     "HermitianPSD",
-    "GramFactor",
     "validate_hermitian_psd",
     "gram_factor",
     # bound

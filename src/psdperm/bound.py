@@ -1,7 +1,7 @@
 """Concave variational upper bound on the permanent of a PSD matrix.
 
-Given a Gram factor ``A = V V^dagger`` with rows ``v_i`` (``n`` rows,
-rank ``d``), the objective
+Given a Gram factor ``A = V V^dagger``, an ``(n, d)`` array with rows
+``v_i`` checked by `gram.unit_rows`, the objective
 
     phi(X) = sum_i log(v_i^dagger X v_i) + log det X - tr X + d
 
@@ -47,7 +47,7 @@ A step is accepted by the Armijo rule with a slack of
 ``16 eps max(1, |f|)``, the floating point resolution of the objective,
 so that Newton steps near the optimum whose predicted gain is below
 roundoff are still taken.  On either path convergence is judged by the
-primal gradient norm at the primal point.  The reported upper endpoint
+primal gradient norm at the primal point, against `GRAD_TOL`.  The reported upper endpoint
 is the dual value at ``t`` (``t_i = 1/q_i(X)`` on the primal path),
 which bounds ``Phi(A)`` from above at any iterate, and the lower one is
 ``phi(X) - gamma * n``, so the bracket holds even after an early stop.
@@ -63,15 +63,17 @@ made some of them wait 15-50 ms for a worker thread on a 2-core machine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ZeroRowError
-from .gram import GramFactor, gram_factor, hermitian_part, unit_rows, validate_hermitian_psd
+from .gram import _symmetrize, gram_factor, hermitian_part, unit_rows, validate_hermitian_psd
 
 __all__ = [
     "GAMMA",
+    "GRAD_TOL",
     "PDPoint",
     "SolverOptions",
     "BoundResult",
@@ -85,6 +87,9 @@ __all__ = [
 GAMMA = float(np.euler_gamma)
 
 _EPS = float(np.finfo(float).eps)
+
+#: The solver converges when the primal gradient norm reaches `GRAD_TOL`.
+GRAD_TOL = 1e-9
 
 #: Armijo sufficient-decrease constant of the line search.
 ARMIJO_C = 1e-4
@@ -149,18 +154,16 @@ class PDPoint:
 class SolverOptions:
     """Stopping rule of the damped Newton maximizer.
 
-    It stops when the primal gradient norm reaches `grad_tol` or after
-    `max_iters` iterations.
+    It stops when the primal gradient norm reaches `GRAD_TOL` or after
+    `max_iters` iterations, an integer (not a bool) of at least 1.
     """
 
-    grad_tol: float = 1e-9
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {m!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,47 +196,42 @@ class BoundResult:
     d: int
 
 
-def _hermitian(M: np.ndarray) -> np.ndarray:
-    """``(M + M^dagger)/2``: rounding-level asymmetry removed, exactly Hermitian."""
-    return (M + M.conj().T) / 2.0
-
-
 def _quadratic_forms(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     """q_i = v_i^dagger X v_i (real for Hermitian X)."""
     return np.real(np.einsum("ij,ij->i", V.conj(), V @ X.T))
 
 
-def _at_point(factor: GramFactor, point) -> tuple:
+def _at_point(V, point) -> tuple:
     """``(G, phi)`` at a `PDPoint` or a raw Hermitian PD matrix, from the unit rows."""
     if not isinstance(point, PDPoint):
         point = PDPoint.from_matrix(point)
-    if factor.has_zero_row:
+    U, shift = unit_rows(V)
+    if U is None:
         raise ZeroRowError(
             "Gram factor has a zero row, so phi is -inf everywhere; "
             "the permanent is exactly zero (see solve)"
         )
-    U, shift = unit_rows(factor)
     X = point.matrix
     _, _, G, phi = _evaluate(U, X, np.linalg.cholesky(X))
     return G, phi + shift
 
 
-def objective(factor: GramFactor, point) -> float:
-    """Evaluate ``phi`` at a positive definite point.
+def objective(V, point) -> float:
+    """Evaluate ``phi`` of the ``(n, d)`` Gram factor `V` at a positive definite point.
 
     `point` may be a `PDPoint` or a raw Hermitian PD matrix.  It is
     evaluated on the unit rows of `gram.unit_rows`, with their shift.
     """
-    return _at_point(factor, point)[1]
+    return _at_point(V, point)[1]
 
 
-def gradient(factor: GramFactor, point) -> np.ndarray:
+def gradient(V, point) -> np.ndarray:
     """Euclidean gradient ``sum_i v_i v_i^dagger / q_i + X^{-1} - I``.
 
     Returned exactly Hermitian (symmetrized).  At the maximizer this is
     zero, which forces ``tr X* = n + d``.
     """
-    return _at_point(factor, point)[0]
+    return _at_point(V, point)[0]
 
 
 def _log_det_chol(chol: np.ndarray) -> float:
@@ -252,7 +250,7 @@ def _evaluate(V: np.ndarray, X: np.ndarray, chol: np.ndarray) -> tuple:
     Xinv = _inverse_from_chol(chol)
     if not np.min(q) > 0.0:
         return q, Xinv, np.full_like(Xinv, np.nan), float("-inf")
-    G = _hermitian((V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(d))
+    G = _symmetrize((V.T * (1.0 / q)) @ V.conj() + Xinv - np.eye(d))
     phi = float(np.sum(np.log(q)) + _log_det_chol(chol) - np.real(np.trace(X)) + d)
     return q, Xinv, G, phi
 
@@ -260,7 +258,7 @@ def _evaluate(V: np.ndarray, X: np.ndarray, chol: np.ndarray) -> tuple:
 def _inverse_from_chol(chol) -> np.ndarray:
     """``(L L^dagger)^{-1} = L^{-dagger} L^{-1}`` from its lower Cholesky factor."""
     Linv = np.linalg.inv(chol)
-    return _hermitian(Linv.conj().T @ Linv)
+    return _symmetrize(Linv.conj().T @ Linv)
 
 
 def _try_chol(X: np.ndarray) -> np.ndarray | None:
@@ -272,7 +270,7 @@ def _try_chol(X: np.ndarray) -> np.ndarray | None:
 
 def _dual_slack(V: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``S(t) = I - sum_i t_i v_i v_i^dagger``, exactly Hermitian."""
-    return _hermitian(np.eye(V.shape[1]) - (V.T * t) @ V.conj())
+    return _symmetrize(np.eye(V.shape[1]) - (V.T * t) @ V.conj())
 
 
 def _dual_objective(t: np.ndarray, chol: np.ndarray) -> float:
@@ -325,7 +323,7 @@ class _PrimalOracle:
         """``-Hess phi [D] = sum_i v_i v_i^dagger (v_i^dagger D v_i)/q_i^2 + X^{-1} D X^{-1}``."""
         V = self.V
         q, Xinv = it.aux
-        return _hermitian((V.T * (_quadratic_forms(V, D) / q**2)) @ V.conj() + Xinv @ D @ Xinv)
+        return _symmetrize((V.T * (_quadratic_forms(V, D) / q**2)) @ V.conj() + Xinv @ D @ Xinv)
 
     def direction(self, it: _Iterate) -> np.ndarray:
         """Solve ``H[D] = G`` by CG over Hermitian ``D``, preconditioned by ``R -> X R X``.
@@ -341,7 +339,7 @@ class _PrimalOracle:
         R = -it.grad
         tol = min(0.5, it.grad_norm) * it.grad_norm
         D = np.zeros_like(R)
-        P = Z = _hermitian(X @ R @ X)
+        P = Z = _symmetrize(X @ R @ X)
         rz = np.vdot(R, Z).real
         for _ in range(self.V.shape[0] + 1):
             HP = self.apply_hessian(it, P)
@@ -350,7 +348,7 @@ class _PrimalOracle:
             R = R - alpha * HP
             if np.linalg.norm(R) <= tol:
                 break
-            Z = _hermitian(X @ R @ X)
+            Z = _symmetrize(X @ R @ X)
             rz, rz_old = np.vdot(R, Z).real, rz
             P = Z + (rz / rz_old) * P
         return D
@@ -408,7 +406,7 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
     iterations = 0
     status = "max_iters"
 
-    while it.grad_norm > opts.grad_tol and iterations < opts.max_iters:
+    while it.grad_norm > GRAD_TOL and iterations < opts.max_iters:
         # Newton direction; fall back to steepest descent if the Hessian
         # is singular or the direction does not descend.
         g = it.grad
@@ -437,30 +435,31 @@ def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
             status = "no_progress"
             break
         it = accepted
-        if it.phi >= best.phi or it.grad_norm <= opts.grad_tol:
+        if it.phi >= best.phi or it.grad_norm <= GRAD_TOL:
             best = it
         values.append(it.f)
 
         if (
             len(values) > STALL_WINDOW
             and values[-1 - STALL_WINDOW] - values[-1] < STALL_TOL
-            and it.grad_norm > opts.grad_tol
+            and it.grad_norm > GRAD_TOL
         ):
             status = "stalled"
             break
 
-    if best.grad_norm <= opts.grad_tol:
+    if best.grad_norm <= GRAD_TOL:
         status = "converged"
     return best, iterations, status
 
 
-def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResult:
-    """Maximize the concave objective over the positive definite cone.
+def solve(V, options: SolverOptions | None = None) -> BoundResult:
+    """Maximize the concave objective of the ``(n, d)`` Gram factor `V`.
 
     Runs Newton on the dual when ``n < d^2`` and on the primal otherwise
     (see the module docstring), starting from ``X0 = ((n + d)/d) I``,
     which already has the optimal trace, on the unit rows of
-    `gram.unit_rows`; their shift is added to ``phi`` and both endpoints.  Returns a `BoundResult` with the
+    `gram.unit_rows`, which also checks `V`; their shift is added to
+    ``phi`` and both endpoints.  Returns a `BoundResult` with the
     certified interval endpoints in log domain.  On non-convergence the
     best iterate found is still returned, with ``converged=False`` and a
     diagnostic `status`; its endpoints are still bounds, and `log_upper`
@@ -472,14 +471,13 @@ def solve(factor: GramFactor, options: SolverOptions | None = None) -> BoundResu
     ``duality_gap = 0``.
     """
     opts = options if options is not None else SolverOptions()
-    V = factor.matrix
-    n, d = V.shape
-    if factor.has_zero_row:
+    U, shift = unit_rows(V)
+    n, d = np.shape(V)
+    if U is None:
         return BoundResult(phi=-math.inf, x_star=None, iterations=0, grad_norm=0.0,
                            trace_residual=0.0, log_lower=-math.inf, log_upper=-math.inf,
                            duality_gap=0.0, converged=True, status="zero_diagonal", n=n, d=d)
 
-    U, shift = unit_rows(factor)
     X0 = ((n + d) / d) * np.eye(d, dtype=complex)
     if n < d * d:
         oracle, z0 = _DualOracle(U), _dual_start(U, X0)

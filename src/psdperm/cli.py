@@ -85,7 +85,7 @@ BOUND_FIELDS = ("d", "phi", "log_lower", "log_upper", "duality_gap", "iterations
                 "grad_norm", "trace_residual", "converged", "status")
 
 #: arguments recorded in a report's `config`, those the verb has
-CONFIG_KEYS = ("input", "rank_tol", "grad_tol", "max_iters", "mc_samples", "seed")
+CONFIG_KEYS = ("input", "rank_tol", "max_iters", "mc_samples", "seed")
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -149,7 +149,7 @@ def cmd_pipeline(args) -> int:
     factor = gram_factor(psd)
 
     if verb != "estimate":
-        opts = SolverOptions(grad_tol=args.grad_tol, max_iters=args.max_iters)
+        opts = SolverOptions(max_iters=args.max_iters)
         res = _timed(timings, "solve", solve, factor, opts)
         if not res.converged:
             _log(f"warning: solver did not converge (status={res.status}, "
@@ -281,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     def solver_flags(p):
-        p.add_argument("--grad-tol", type=_checked(float, lambda v: 0.0 < v < math.inf,
-                                                   "finite and above 0"),
-                       default=SolverOptions.grad_tol,
-                       help="gradient norm target for the maximizer")
         p.add_argument("--max-iters", type=_checked(int, lambda v: v >= 1, "at least 1"),
                        default=SolverOptions.max_iters)
 

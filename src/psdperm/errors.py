@@ -8,7 +8,7 @@ class PsdPermError(Exception):
 
 
 class NotSquareError(PsdPermError):
-    """Input matrix is not a square 2-D array."""
+    """Input matrix is not a square 2-D array, or a Gram factor not a 2-D one."""
 
 
 class NonFiniteError(PsdPermError):

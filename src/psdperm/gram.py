@@ -14,6 +14,11 @@ the first largest remaining pivot until none exceeds ``rank_tol``, and
 ``V = D^{1/2} L``.  The remainder ``C - L L^dagger`` is then checked, in
 ``O(n^2 d)``.  Every tolerance is relative to the input's own scale, and
 identical input bytes always produce an identical factor.
+
+The factor is a plain ``(n, d)`` array, and `unit_rows` is the one
+reader of a factor that a caller passes to the solver or the sampler:
+it checks it, spots an exactly zero row, and scales the rows to unit
+norm.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "RANK_TOL",
     "RECON_TOL",
     "HermitianPSD",
-    "GramFactor",
     "as_complex_matrix",
     "hermitian_part",
     "validate_hermitian_psd",
@@ -139,19 +143,27 @@ def hermitian_part(matrix) -> np.ndarray:
     ``HERM_TOL * max|A_ij|``, and what `as_complex_matrix` raises.
     """
     A = as_complex_matrix(matrix)
-    AH = A.conj().T
     scale = float(np.max(np.abs(A)))
-    defect = float(np.max(np.abs(A - AH)))
+    defect = float(np.max(np.abs(A - A.conj().T)))
     if defect > HERM_TOL * scale:
         raise NotHermitianError(
             f"Hermitian defect {defect:.3e} exceeds tolerance {HERM_TOL:.1e} * {scale:.3e}"
         )
-    # halve before adding, so that entries near the float maximum do not
-    # overflow, and take the diagonal as it is, so that no subnormal A_ii
-    # rounds to zero; both sums are the same, so the result is Hermitian
-    H = A * 0.5
-    H += AH * 0.5
-    H.flat[:: A.shape[0] + 1] = A.diagonal().real
+    return _symmetrize(A)
+
+
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """``(M + M^dagger)/2``, exactly Hermitian, with the real part of ``M``'s diagonal.
+
+    Halving before adding keeps entries near the float maximum from
+    overflowing, and taking the diagonal as it is keeps a subnormal
+    ``M_ii`` from rounding to zero; both sums are the same, so the
+    result is Hermitian.  ``conj`` copies, so ``H`` is not read while
+    it is written.
+    """
+    H = M * 0.5
+    H += H.conj().T
+    H.flat[:: M.shape[0] + 1] = M.diagonal().real
     return H
 
 
@@ -245,50 +257,24 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
     return HermitianPSD(matrix=A, factor=V)
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Gram factor ``V`` with ``A = V V^dagger``.
-
-    Attributes
-    ----------
-    matrix : np.ndarray
-        Shape ``(n, d)`` with full column rank; row ``i`` is the Gram
-        vector of index ``i``, zero when ``A_ii`` is.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def row_norms_sq(self) -> np.ndarray:
-        """``|v_i|^2`` per row, the diagonal of ``A``."""
-        return np.sum(np.abs(self.matrix) ** 2, axis=1)
-
-    @property
-    def has_zero_row(self) -> bool:
-        """Whether a row is exactly zero, which makes ``per(A) = 0``."""
-        return bool(_zero_rows(self.matrix).any())
-
-
-def gram_factor(psd: HermitianPSD) -> GramFactor:
-    """The Gram factor of a validated matrix, which validation computed.
+def gram_factor(psd: HermitianPSD) -> np.ndarray:
+    """The Gram factor ``V`` of a validated matrix, which validation computed.
 
     The row of a zero diagonal entry is zero, which makes ``per(A) = 0``;
     `bound.solve` and `montecarlo.estimate_permanent` return that exact
     answer.  The zero matrix has an ``(n, 0)`` factor.
     """
-    return GramFactor(matrix=psd.factor)
+    return psd.factor
 
 
-def unit_rows(factor: GramFactor) -> tuple:
-    """The rows ``v_i / |v_i|`` of a factor with no zero row, and ``sum_i log |v_i|^2``.
+def unit_rows(V) -> tuple:
+    """Check a Gram factor ``V``; return its rows ``v_i / |v_i|`` and ``sum_i log |v_i|^2``.
+
+    This is the one reader of a caller's factor: `bound.solve`,
+    `bound.objective`, `bound.gradient` and
+    `montecarlo.estimate_permanent` see ``V`` only through it.  ``V`` is
+    taken as a complex ``(n, d)`` array.  When a row is exactly zero, so
+    that ``per(A) = 0``, it returns ``(None, -inf)``.
 
     Each row is divided by its largest entry modulus before its norm is
     taken, so neither the norm nor its logarithm leaves the float range.
@@ -296,8 +282,21 @@ def unit_rows(factor: GramFactor) -> tuple:
     leaves the maximizer ``X*`` where it is and moves ``log per``, ``phi``
     and both endpoints by ``sum_i log |a_i|^2``, so the solver and the
     sampler work on the unit rows and add the returned shift back.
+
+    Raises
+    ------
+    NotSquareError
+        If ``V`` is not a 2-D array, or has no row.
+    NonFiniteError
+        If an entry is NaN or infinite.
     """
-    V = factor.matrix
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 2 or V.shape[0] == 0:
+        raise NotSquareError(f"expected an (n, d) Gram factor with n >= 1, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise NonFiniteError("Gram factor contains NaN or infinite entries")
+    if _zero_rows(V).any():
+        return None, -math.inf
     top = np.abs(V).max(axis=1)
     U = V / top[:, None]
     norms = np.linalg.norm(U, axis=1)

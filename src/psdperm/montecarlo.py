@@ -1,7 +1,8 @@
 """Monte Carlo permanent estimation via the Gaussian product formula.
 
-For ``A = V V^dagger`` with rows ``v_i`` and ``Z`` a standard complex
-Gaussian vector (``E[Z Z^dagger] = I_d``),
+For ``A = V V^dagger``, with ``V`` an ``(n, d)`` array of rows ``v_i``
+checked by `gram.unit_rows`, and ``Z`` a standard complex Gaussian
+vector (``E[Z Z^dagger] = I_d``),
 
     per(A) = E[ prod_i |v_i^dagger Z|^2 ],
 
@@ -23,11 +24,12 @@ for the permanent estimator, 3.9 MB at n = 22, d = 8.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramFactor, exp_or_inf, unit_rows
+from .gram import exp_or_inf, unit_rows
 
 __all__ = [
     "philox_generator",
@@ -125,8 +127,9 @@ def sample_standard_complex_gaussian(gen: np.random.Generator, d: int,
 
 
 def _check_samples(samples: int) -> None:
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    """A standard error needs an integer (not a bool) of at least 2 samples."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
 
 
 def _sample_mean(statistic, d: int, samples: int, seed: int) -> EstimateResult:
@@ -181,21 +184,22 @@ def _row_product_statistic(rows: np.ndarray, batch: int):
     return statistic
 
 
-def estimate_permanent(factor: GramFactor, samples: int, seed: int) -> EstimateResult:
-    """Unbiased Monte Carlo estimate of ``per(A)`` from its Gram factor.
+def estimate_permanent(V, samples: int, seed: int) -> EstimateResult:
+    """Unbiased Monte Carlo estimate of ``per(A)`` from its ``(n, d)`` Gram factor `V`.
 
-    A zero Gram row makes the permanent exactly zero; that case returns
-    the exact answer without sampling.  The product runs on the unit
-    rows of `gram.unit_rows`, so it stays in the float range whatever
-    the diagonal's; the mean and the standard error are scaled back by
-    ``e^shift = prod_i |v_i|^2``.
+    `samples` is an integer (not a bool) of at least 2.  `V` is checked
+    and read by `gram.unit_rows`.  A zero Gram row makes the permanent
+    exactly zero; that case returns the exact answer without sampling.
+    The product runs on the unit rows, so it stays in the float range
+    whatever the diagonal's; the mean and the standard error are scaled
+    back by ``e^shift = prod_i |v_i|^2``.
     """
     _check_samples(samples)
-    if factor.has_zero_row:
+    U, shift = unit_rows(V)
+    if U is None:
         return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
-    U, shift = unit_rows(factor)
     statistic = _row_product_statistic(U, min(BATCH_SIZE, samples))
-    est = _sample_mean(statistic, factor.d, samples, seed)
+    est = _sample_mean(statistic, U.shape[1], samples, seed)
     scale = exp_or_inf(shift)
     return EstimateResult(mean=est.mean * scale, std_error=est.std_error * scale,
                           samples=samples, seed=seed)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from psdperm import (
-    GramFactor,
     SolverOptions,
     bound,
     gen_instance,
@@ -20,8 +19,8 @@ class NotUnitaryError(ValueError):
     """Matrix fails the unitarity check U^dagger U = I."""
 
 
-def random_factor(n: int, d: int, seed: int) -> GramFactor:
-    """Gram factor of a random gaussian-gram instance."""
+def random_factor(n: int, d: int, seed: int) -> np.ndarray:
+    """Gram factor ``V``, shape ``(n, d)``, of a random gaussian-gram instance."""
     return gram_factor(gen_instance(n, d, seed=seed))
 
 
@@ -37,7 +36,7 @@ def random_unitary(d: int, seed: int = 0) -> np.ndarray:
     return Q * (diag / np.abs(diag))
 
 
-def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
+def apply_unitary(V: np.ndarray, unitary) -> np.ndarray:
     """Right-multiply the Gram factor by a unitary: ``W = V U``.
 
     ``W W^dagger = V V^dagger``, so the factored matrix is unchanged;
@@ -45,7 +44,7 @@ def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
     `NotUnitaryError` unless `unitary` is ``d x d``, finite, and
     satisfies ``||U^dagger U - I||_F <= 1e-8 d``.
     """
-    d = factor.d
+    d = V.shape[1]
     U = np.asarray(unitary, dtype=complex)
     if U.shape != (d, d):
         raise NotUnitaryError(f"expected shape ({d}, {d}), got {U.shape}")
@@ -54,8 +53,7 @@ def apply_unitary(factor: GramFactor, unitary) -> GramFactor:
     defect = float(np.linalg.norm(U.conj().T @ U - np.eye(d)))
     if defect > 1e-8 * d:
         raise NotUnitaryError(f"||U^H U - I||_F = {defect:.3e} exceeds 1e-8 * {d}")
-    W = factor.matrix @ U
-    return GramFactor(matrix=W)
+    return V @ U
 
 
 def random_pd(d: int, seed: int, jitter: float = 0.1) -> np.ndarray:
@@ -74,7 +72,7 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
     return (H + H.conj().T) / 2.0
 
 
-def newton_from_identity(factor: GramFactor):
+def newton_from_identity(factor: np.ndarray):
     """`solve`'s Newton driver and oracle choice, started at ``X0 = I``.
 
     Returns ``(best, iterations, status)`` as `bound._newton`; like

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from psdperm import bound
 from psdperm import (
     GAMMA,
-    GramFactor,
+    NonFiniteError,
     NotHermitianError,
     NotPositiveDefiniteError,
+    NotSquareError,
     PDPoint,
     SolverOptions,
     ZeroRowError,
     bound_permanent,
+    estimate_permanent,
     gen_instance,
     gradient,
     gram_factor,
@@ -35,24 +37,20 @@ from helpers import (
 )
 
 
-def factor_of(matrix):
-    return GramFactor(matrix=np.asarray(matrix, dtype=complex))
-
-
 # ---------------------------------------------------------------- objective
 
 
 def test_objective_scalar_identity():
-    assert objective(factor_of([[1.0]]), np.eye(1)) == pytest.approx(0.0, abs=1e-15)
+    assert objective([[1.0]], np.eye(1)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_objective_identity_pair():
-    val = objective(factor_of(np.eye(2)), 2.0 * np.eye(2))
+    val = objective(np.eye(2), 2.0 * np.eye(2))
     assert val == pytest.approx(4 * math.log(2) - 2, abs=1e-14)
 
 
 def test_objective_ones_column():
-    val = objective(factor_of([[1.0], [1.0]]), np.array([[3.0]]))
+    val = objective([[1.0], [1.0]], np.array([[3.0]]))
     assert val == pytest.approx(3 * math.log(3) - 2, abs=1e-14)
 
 
@@ -74,7 +72,7 @@ def test_pdpoint_rebuilds_matrix_and_factor_exactly():
 def test_objective_underflow_sentinel():
     # objective works on the unit row and adds log|v|^2 back, so the
     # v^H X v = 1e-400 that underflows on the raw row does no harm
-    val = objective(factor_of([[1e-100]]), np.array([[1e-200]]))
+    val = objective([[1e-100]], np.array([[1e-200]]))
     assert val == pytest.approx(3 * math.log(1e-200) + 1.0, rel=1e-14)
     # on the raw row q underflows to exactly 0: phi = -inf and a NaN
     # gradient, with no division by zero
@@ -84,7 +82,7 @@ def test_objective_underflow_sentinel():
 
 
 def test_objective_rejects_non_pd():
-    factor = factor_of([[1.0]])
+    factor = [[1.0]]
     with pytest.raises(NotPositiveDefiniteError):
         objective(factor, np.array([[-1.0]]))
     with pytest.raises(NotHermitianError):
@@ -92,7 +90,7 @@ def test_objective_rejects_non_pd():
 
 
 def test_objective_zero_row_raises():
-    bad = factor_of([[1.0], [0.0]])
+    bad = [[1.0], [0.0]]
     with pytest.raises(ZeroRowError):
         objective(bad, np.eye(1))
     with pytest.raises(ZeroRowError):
@@ -104,18 +102,37 @@ def test_objective_zero_row_raises():
     assert (res.n, res.d) == (2, 1)
 
 
+ENTRY_POINTS = {
+    "solve": solve,
+    "estimate_permanent": lambda V: estimate_permanent(V, 100, seed=0),
+    "objective": lambda V: objective(V, np.eye(1)),
+    "gradient": lambda V: gradient(V, np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("V, error", [
+    pytest.param([[np.nan]], NonFiniteError, id="nan"),
+    pytest.param([[np.inf, 1.0]], NonFiniteError, id="inf"),
+    pytest.param([1.0, 2.0], NotSquareError, id="1-d"),
+])
+def test_bad_factor_raises_at_every_entry_point(entry, V, error):
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](V)
+
+
 # ----------------------------------------------------------------- gradient
 
 
 def test_gradient_identity_at_identity():
-    G = gradient(factor_of(np.eye(2)), np.eye(2))
+    G = gradient(np.eye(2), np.eye(2))
     np.testing.assert_allclose(G, np.eye(2), atol=1e-14)
 
 
 def test_gradient_vanishes_at_optimum():
-    G = gradient(factor_of(np.eye(2)), 2.0 * np.eye(2))
+    G = gradient(np.eye(2), 2.0 * np.eye(2))
     np.testing.assert_allclose(G, np.zeros((2, 2)), atol=1e-14)
-    G1 = gradient(factor_of([[1.0]]), np.array([[2.0]]))
+    G1 = gradient([[1.0]], np.array([[2.0]]))
     np.testing.assert_allclose(G1, [[0.0]], atol=1e-14)
 
 
@@ -232,7 +249,7 @@ def hard_factor(kind, n, d, seed):
     elif kind == "half-near-axis":
         V[: n // 2] *= 1e-3
         V[: n // 2, 0] = 1.0
-    return factor_of(V)
+    return V
 
 
 @pytest.mark.parametrize("kind", ["scaled-columns", "near-duplicate-rows", "half-near-axis"])
@@ -340,11 +357,11 @@ def test_dual_value_bounds_phi_after_early_stop(n, d, seed):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"grad_tol": 0.0},
-        {"grad_tol": -1e-9},
-        {"grad_tol": -0.0},
-        {"grad_tol": -math.inf},
-        {"grad_tol": 0.0, "max_iters": 0},
+        {"max_iters": 1.5},
+        {"max_iters": True},
+        {"max_iters": 2.0},
+        {"max_iters": "5"},
+        {"max_iters": np.float64(3.0)},
         {"max_iters": -1},
         {"max_iters": 0},
     ],
@@ -354,11 +371,15 @@ def test_solver_options_rejects_bad_values(kwargs):
         SolverOptions(**kwargs)
 
 
-@pytest.mark.parametrize("grad_tol", [math.nan, math.inf])
-def test_solver_options_rejects_non_finite_grad_tol(grad_tol):
-    # grad_tol = inf would label the untouched starting point converged
+@pytest.mark.parametrize("max_iters", [math.nan, math.inf])
+def test_solver_options_rejects_non_finite_max_iters(max_iters):
     with pytest.raises(ValueError):
-        SolverOptions(grad_tol=grad_tol)
+        SolverOptions(max_iters=max_iters)
+
+
+def test_solver_options_accepts_numpy_integers():
+    res = solve(random_factor(6, 3, seed=4), SolverOptions(max_iters=np.int64(1)))
+    assert res.iterations == 1
 
 
 def test_solver_is_deterministic():

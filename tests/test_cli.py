@@ -294,6 +294,7 @@ def test_malformed_file_is_one_error_line(capsys, tmp_path, data):
 
 @pytest.mark.parametrize("argv", [
     ("bound", "--max-iters", "0"),
+    # no --grad-tol flag exists (the tolerance is bound.GRAD_TOL): argparse rejects it
     ("bound", "--grad-tol", "0"),
     ("bound", "--grad-tol", "nan"),
     ("bound", "--grad-tol", "inf"),
@@ -319,7 +320,7 @@ def test_out_of_range_flag_exits_two(capsys, tmp_path, argv):
 
 def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
-    for argv in (("bound", "--max-iters", "1", "--grad-tol", "5e-324", "--rank-tol", "0"),
+    for argv in (("bound", "--max-iters", "1", "--rank-tol", "0"),
                  ("certify", "--mc-samples", "0"), ("certify", "--mc-samples", "2"),
                  ("estimate", "--mc-samples", "2")):
         code, rep = run(capsys, argv[0], path, *argv[1:])
@@ -389,8 +390,9 @@ def test_reports_duality_gap(capsys, tmp_path):
 
 def test_solver_flags_are_respected(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "f.json", "--n", "9", "--d", "5", "--seed", "2")
-    code, rep = run(capsys, "bound", path, "--max-iters", "1", "--grad-tol", "1e-15")
+    code, rep = run(capsys, "bound", path, "--max-iters", "1")
     assert code == EXIT_OK
     assert rep["converged"] is False
     assert rep["iterations"] == 1
     assert rep["config"]["max_iters"] == 1
+    assert "grad_tol" not in rep["config"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from psdperm import (
-    GramFactor,
     NonFiniteError,
     NotHermitianError,
     NotPSDError,
@@ -15,6 +14,7 @@ from psdperm import (
     gram_factor,
     validate_hermitian_psd,
 )
+from psdperm.gram import _symmetrize, unit_rows
 from helpers import NotUnitaryError, apply_unitary, random_unitary
 
 
@@ -180,41 +180,84 @@ def test_rank_tol_out_of_range_rejected(rank_tol):
         validate_hermitian_psd(np.eye(2), rank_tol=rank_tol)
 
 
+def row_norms_sq(V):
+    """``|v_i|^2`` per row of a Gram factor: the diagonal of ``A = V V^dagger``."""
+    return np.sum(np.abs(V) ** 2, axis=1)
+
+
 def test_gram_factor_scalar():
-    factor = gram_factor(validate_hermitian_psd([[4.0]]))
-    np.testing.assert_allclose(factor.matrix, [[2.0]])
-    np.testing.assert_allclose(factor.row_norms_sq, [4.0])
+    V = gram_factor(validate_hermitian_psd([[4.0]]))
+    np.testing.assert_allclose(V, [[2.0]])
+    np.testing.assert_allclose(row_norms_sq(V), [4.0])
 
 
 def test_gram_factor_rank_one_ones():
-    factor = gram_factor(validate_hermitian_psd(np.ones((2, 2))))
-    assert factor.d == 1
+    V = gram_factor(validate_hermitian_psd(np.ones((2, 2))))
+    assert V.shape[1] == 1
     # the pivot entry L_pp = sqrt(pivot) is real positive
-    assert np.all(factor.matrix.real > 0)
-    np.testing.assert_allclose(np.abs(factor.matrix), 1.0, atol=1e-12)
+    assert np.all(V.real > 0)
+    np.testing.assert_allclose(np.abs(V), 1.0, atol=1e-12)
 
 
 def test_gram_factor_identity():
-    factor = gram_factor(validate_hermitian_psd(np.eye(2)))
-    assert factor.d == 2
-    np.testing.assert_allclose(factor.matrix @ factor.matrix.conj().T, np.eye(2), atol=1e-12)
+    V = gram_factor(validate_hermitian_psd(np.eye(2)))
+    assert V.shape[1] == 2
+    np.testing.assert_allclose(V @ V.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_gram_factor_zero_matrix():
-    factor = gram_factor(validate_hermitian_psd(np.zeros((3, 3))))
-    assert factor.matrix.shape == (3, 0)
-    np.testing.assert_array_equal(factor.row_norms_sq, np.zeros(3))
+    V = gram_factor(validate_hermitian_psd(np.zeros((3, 3))))
+    assert V.shape == (3, 0)
+    np.testing.assert_array_equal(row_norms_sq(V), np.zeros(3))
+
+
+def test_gram_factor_is_the_validated_factor():
+    psd = gen_instance(5, 3, seed=2)
+    assert gram_factor(psd) is psd.factor
 
 
 def test_gram_factor_keeps_zero_rows():
     # a zero diagonal entry forces per(A) = 0, and its Gram row is exactly zero
-    factor = gram_factor(validate_hermitian_psd([[1.0, 0.0], [0.0, 0.0]]))
-    np.testing.assert_array_equal(factor.matrix, [[1.0], [0.0]])
-    np.testing.assert_array_equal(factor.row_norms_sq, [1.0, 0.0])
-    assert factor.has_zero_row
+    V = gram_factor(validate_hermitian_psd([[1.0, 0.0], [0.0, 0.0]]))
+    np.testing.assert_array_equal(V, [[1.0], [0.0]])
+    np.testing.assert_array_equal(row_norms_sq(V), [1.0, 0.0])
+    assert unit_rows(V) == (None, -math.inf)
     # |v_1|^2 = 1e-340 underflows to 0, but the row is not zero
-    tiny = GramFactor(matrix=np.array([[1.0], [1e-170]], dtype=complex))
-    assert tiny.row_norms_sq[1] == 0.0 and not tiny.has_zero_row
+    tiny = np.array([[1.0], [1e-170]], dtype=complex)
+    assert row_norms_sq(tiny)[1] == 0.0
+    U, shift = unit_rows(tiny)
+    np.testing.assert_array_equal(U, [[1.0], [1.0]])
+    assert shift == 2.0 * math.log(1e-170)
+
+
+@pytest.mark.parametrize("V, error", [
+    ([[np.nan]], NonFiniteError),
+    ([[np.inf, 1.0]], NonFiniteError),
+    ([[1.0, complex(0.0, -np.inf)]], NonFiniteError),
+    ([1.0, 2.0], NotSquareError),
+    (np.ones((2, 2, 1)), NotSquareError),
+    (np.zeros((0, 2)), NotSquareError),
+])
+def test_unit_rows_rejects_bad_factor(V, error):
+    with pytest.raises(error):
+        unit_rows(V)
+
+
+def test_unit_rows_takes_real_and_list_factors():
+    U, shift = unit_rows([[3.0, 4.0], [0.0, 2.0]])
+    assert U.dtype == complex
+    np.testing.assert_allclose(U, [[0.6, 0.8], [0.0, 1.0]])
+    assert shift == pytest.approx(math.log(25.0) + math.log(4.0))
+
+
+@pytest.mark.parametrize("d", [1, 20, 31])
+def test_symmetrize_is_half_the_hermitian_sum(d):
+    gen = np.random.Generator(np.random.Philox(key=np.array([d, 5], dtype=np.uint64)))
+    g = gen.standard_normal((d, d, 2))
+    M = g[..., 0] + 1j * g[..., 1]
+    H = _symmetrize(M)
+    assert H.tobytes() == ((M + M.conj().T) / 2.0).tobytes()
+    np.testing.assert_array_equal(H, H.conj().T)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -222,9 +265,9 @@ def test_reconstruction_sweep(seed):
     n = 2 + seed % 9
     d = 1 + seed % n
     psd = gen_instance(n, d, seed=seed)
-    factor = gram_factor(psd)
-    assert factor.d == d
-    err = np.linalg.norm(factor.matrix @ factor.matrix.conj().T - psd.matrix)
+    V = gram_factor(psd)
+    assert V.shape[1] == d
+    err = np.linalg.norm(V @ V.conj().T - psd.matrix)
     assert err <= 1e-8 * max(1.0, np.linalg.norm(psd.matrix))
 
 
@@ -234,45 +277,41 @@ def test_rank_matches_eigenvalue_count():
         w = np.linalg.eigvalsh(psd.matrix)
         count = int(np.count_nonzero(w > 1e-10 * w[-1]))
         assert psd.factor.shape == (8, psd.rank)
-        assert gram_factor(psd).d == psd.rank == count == 1 + seed
+        assert psd.rank == count == 1 + seed
 
 
 def test_row_norms_match_diagonal():
     psd = gen_instance(9, 4, seed=3)
-    factor = gram_factor(psd)
     np.testing.assert_allclose(
-        factor.row_norms_sq, np.real(np.diag(psd.matrix)), atol=1e-10
+        row_norms_sq(gram_factor(psd)), np.real(np.diag(psd.matrix)), atol=1e-10
     )
 
 
 def test_factor_deterministic():
     psd = gen_instance(6, 3, seed=11)
-    f1 = gram_factor(psd)
-    f2 = gram_factor(psd)
-    assert f1.matrix.tobytes() == f2.matrix.tobytes()
+    again = gen_instance(6, 3, seed=11)
+    assert gram_factor(psd).tobytes() == gram_factor(again).tobytes()
 
 
 def test_apply_unitary_identity():
-    factor = gram_factor(gen_instance(5, 3, seed=0))
-    same = apply_unitary(factor, np.eye(3))
-    np.testing.assert_array_equal(same.matrix, factor.matrix)
+    V = gram_factor(gen_instance(5, 3, seed=0))
+    np.testing.assert_array_equal(apply_unitary(V, np.eye(3)), V)
 
 
 def test_apply_unitary_preserves_product():
-    factor = gram_factor(gen_instance(6, 4, seed=2))
-    A = factor.matrix @ factor.matrix.conj().T
+    V = gram_factor(gen_instance(6, 4, seed=2))
+    A = V @ V.conj().T
     for seed in range(5):
-        rotated = apply_unitary(factor, random_unitary(4, seed=seed))
-        B = rotated.matrix @ rotated.matrix.conj().T
+        W = apply_unitary(V, random_unitary(4, seed=seed))
+        B = W @ W.conj().T
         assert np.linalg.norm(A - B) <= 1e-8 * np.linalg.norm(A)
-        np.testing.assert_allclose(rotated.row_norms_sq, factor.row_norms_sq, atol=1e-10)
+        np.testing.assert_allclose(row_norms_sq(W), row_norms_sq(V), atol=1e-10)
 
 
 def test_apply_unitary_permutation():
-    factor = gram_factor(gen_instance(4, 3, seed=9))
+    V = gram_factor(gen_instance(4, 3, seed=9))
     P = np.eye(3)[:, [2, 0, 1]]
-    rotated = apply_unitary(factor, P)
-    np.testing.assert_allclose(rotated.matrix, factor.matrix[:, [2, 0, 1]])
+    np.testing.assert_allclose(apply_unitary(V, P), V[:, [2, 0, 1]])
 
 
 def test_apply_unitary_rejects_bad_input():

@@ -12,7 +12,6 @@ import pytest
 
 from psdperm import (
     GAMMA,
-    GramFactor,
     MomentAccumulator,
     calibrate_gamma,
     estimate_permanent,
@@ -24,10 +23,6 @@ from psdperm import (
     validate_hermitian_psd,
 )
 from psdperm import montecarlo
-
-
-def factor_of(matrix):
-    return GramFactor(matrix=np.asarray(matrix, dtype=complex))
 
 
 # ---------------------------------------------------------------- generator
@@ -133,7 +128,7 @@ def test_accumulator_edge_cases():
 
 
 def test_estimate_scalar_one():
-    res = estimate_permanent(factor_of([[1.0]]), 100_000, seed=0)
+    res = estimate_permanent([[1.0]], 100_000, seed=0)
     assert res.samples == 100_000
     assert res.std_error > 0
     assert abs(res.mean - 1.0) <= 4 * res.std_error
@@ -174,7 +169,7 @@ def test_estimate_batch_size_consistency():
     samples = 2 * montecarlo.BATCH_SIZE + 1000
     res = estimate_permanent(factor, samples, seed=4)
     z = sample_standard_complex_gaussian(philox_generator(4), 3, size=samples)
-    x = np.prod(np.abs(z @ factor.matrix.conj().T) ** 2, axis=1)
+    x = np.prod(np.abs(z @ factor.conj().T) ** 2, axis=1)
     assert res.mean == pytest.approx(float(x.mean()), rel=1e-10)
     assert res.std_error == pytest.approx(float(x.std(ddof=1)) / math.sqrt(samples), rel=1e-8)
 
@@ -183,7 +178,7 @@ def test_estimate_batch_size_consistency():
 def test_row_product_statistic_matches_complex_product(n, d):
     # the real-arithmetic statistic, fed by the sampling loop, against the
     # complex product on the same draws; the last batch is partial
-    rows = gram_factor(gen_instance(n, d, seed=n)).matrix
+    rows = gram_factor(gen_instance(n, d, seed=n))
     samples = montecarlo.BATCH_SIZE + 1234
     statistic = montecarlo._row_product_statistic(rows, montecarlo.BATCH_SIZE)
     seen = []
@@ -230,25 +225,38 @@ def test_estimate_is_row_scale_free():
 
 
 def test_estimate_zero_row_short_circuits():
-    bad = factor_of([[1.0], [0.0]])
+    bad = [[1.0], [0.0]]
     res = estimate_permanent(bad, 1000, seed=0)
     assert res.mean == 0.0 and res.std_error == 0.0
 
 
 def test_estimate_validates_arguments():
-    factor = factor_of([[1.0]])
+    factor = [[1.0]]
     for samples in (1, 0, -3):
         with pytest.raises(ValueError):
             estimate_permanent(factor, samples, seed=0)
     with pytest.raises(ValueError):
-        estimate_permanent(factor_of([[1.0], [0.0]]), 1, seed=0)
+        estimate_permanent([[1.0], [0.0]], 1, seed=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, 100.0, True, "100", np.float64(10.0)])
+def test_estimate_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="integer"):
+        estimate_permanent([[1.0]], samples, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        calibrate_gamma(samples, seed=0)
+
+
+def test_estimate_accepts_numpy_integer_samples():
+    res = estimate_permanent([[1.0]], np.int64(1000), seed=0)
+    assert res.samples == 1000
 
 
 def test_relative_std_error():
-    factor = factor_of([[1.0]])
+    factor = [[1.0]]
     res = estimate_permanent(factor, 10_000, seed=12)
     assert res.relative_std_error == pytest.approx(res.std_error / abs(res.mean))
-    zero = estimate_permanent(factor_of([[1.0], [0.0]]), 100, seed=0)
+    zero = estimate_permanent([[1.0], [0.0]], 100, seed=0)
     assert zero.relative_std_error == float("inf")
 
 
