@@ -4,8 +4,9 @@ The package computes a variational upper bound ``exp(Phi(A))`` on the
 permanent of a Hermitian positive semidefinite matrix, together with the
 matching lower bound ``exp(Phi(A) - gamma*n)``, an entropy-corrected
 sandwich that pins ``per(A)`` to within a factor of ``e^{gamma*n}``.
-Exact exponential-time oracles and an unbiased Monte Carlo estimator are
-included for cross-checking at desk scale.
+Exact oracles (exponential-time for any rank, polynomial-time for a
+small one) and an unbiased Monte Carlo estimator are included for
+cross-checking.
 
 Typical use::
 
@@ -42,9 +43,11 @@ from .errors import (
     ZeroRowError,
 )
 from .exact import (
+    LOWRANK_LIMIT,
     NAIVE_LIMIT,
     RYSER_LIMIT,
     ExactResult,
+    permanent_lowrank,
     permanent_naive,
     permanent_ryser,
 )
@@ -89,9 +92,11 @@ __all__ = [
     # exact
     "NAIVE_LIMIT",
     "RYSER_LIMIT",
+    "LOWRANK_LIMIT",
     "ExactResult",
     "permanent_naive",
     "permanent_ryser",
+    "permanent_lowrank",
     # monte carlo
     "philox_generator",
     "MomentAccumulator",

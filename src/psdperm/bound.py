@@ -63,13 +63,19 @@ made some of them wait 15-50 ms for a worker thread on a 2-core machine.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ZeroRowError
-from .gram import _symmetrize, gram_factor, hermitian_part, unit_rows, validate_hermitian_psd
+from .gram import (
+    _symmetrize,
+    check_integer,
+    gram_factor,
+    hermitian_part,
+    unit_rows,
+    validate_hermitian_psd,
+)
 
 __all__ = [
     "GAMMA",
@@ -161,9 +167,7 @@ class SolverOptions:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {m!r}")
+        check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True, slots=True)

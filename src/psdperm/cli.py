@@ -3,7 +3,8 @@
 Reports are JSON on stdout; logs and errors go to stderr.  Exit codes:
 0 success, 2 invalid input, 3 sandwich violation (a zero claim that
 Ryser refutes included) or failed self-check (either one signals a bug,
-the bound is unconditional), 4 size guard.
+the bound is unconditional), 4 size guard: ``certify`` on an input that
+no exact oracle reaches.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ import numpy as np
 from . import __version__
 from .bound import GAMMA, SolverOptions, solve
 from .errors import PsdPermError, TooLargeError
-from .exact import RYSER_LIMIT, permanent_naive, permanent_ryser
+from .exact import (
+    LOWRANK_LIMIT,
+    RYSER_LIMIT,
+    lowrank_size,
+    permanent_lowrank,
+    permanent_naive,
+    permanent_ryser,
+)
 from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
@@ -122,23 +130,46 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _exact_oracle(psd):
+    """The exact oracle that ``certify`` runs on `psd`, as ``(function, argument)``, or None.
+
+    The low-rank oracle on the Gram factor where it has at most
+    `LOWRANK_LIMIT` terms and ``d`` times that is below Ryser's ``2^(n-1)``
+    (it then takes a few ms at n = 22, Ryser ~0.08 s); otherwise Ryser on
+    the matrix up to `RYSER_LIMIT`.  A zero diagonal entry keeps Ryser:
+    its zero Gram row is the claim under test, and Ryser never reads the
+    factor.
+    """
+    n, d = psd.n, psd.rank
+    size = lowrank_size(n, d)
+    if not psd.zero_diagonal_indices and size <= LOWRANK_LIMIT and size * d < 2 ** (n - 1):
+        return permanent_lowrank, psd.factor
+    if n <= RYSER_LIMIT:
+        return permanent_ryser, psd.matrix
+    return None
+
+
 def cmd_pipeline(args) -> int:
     """``bound``, ``certify`` and ``estimate``: one validated input, one report.
 
-    ``bound`` and ``certify`` solve, ``certify`` adds Ryser and the
-    sandwich verdict, and ``estimate`` (or ``certify --mc-samples``) runs
-    Monte Carlo.  A zero diagonal entry forces ``per(A) = 0``: its Gram
-    row is zero, so `solve` returns the ``[-inf, -inf]`` bracket and
-    Monte Carlo an exact 0.  Only Ryser's exact 0 lies in that bracket;
-    any other value refutes the zero claim (exit 3).
+    ``bound`` and ``certify`` solve, ``certify`` adds an exact oracle
+    (`_exact_oracle`) and the sandwich verdict, and ``estimate`` (or
+    ``certify --mc-samples``) runs Monte Carlo.  A zero diagonal entry
+    forces ``per(A) = 0``: its Gram row is zero, so `solve` returns the
+    ``[-inf, -inf]`` bracket and Monte Carlo an exact 0.  Only Ryser's
+    exact 0 lies in that bracket; any other value refutes the zero claim
+    (exit 3).
     """
     verb = args.command
     timings: dict = {}
     inst = _timed(timings, "parse", parse_instance, args.input)
-    if verb == "certify" and inst.n > RYSER_LIMIT:
-        _log(f"error: exact certification needs n <= {RYSER_LIMIT}, got {inst.n}")
-        return EXIT_SIZE_GUARD
     psd = _timed(timings, "validate", validate_hermitian_psd, inst.matrix, args.rank_tol)
+    oracle = _exact_oracle(psd) if verb == "certify" else None
+    if verb == "certify" and oracle is None:
+        _log(f"error: no exact oracle reaches n={psd.n}, d={psd.rank}: Ryser needs "
+             f"n <= {RYSER_LIMIT}, the low-rank oracle C(n+d-1, d-1) <= {LOWRANK_LIMIT} "
+             f"terms (here {lowrank_size(psd.n, psd.rank)}) and no zero diagonal entry")
+        return EXIT_SIZE_GUARD
 
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
     if verb == "certify":
@@ -158,7 +189,7 @@ def cmd_pipeline(args) -> int:
             setattr(report, key, getattr(res, key))
 
     if verb == "certify":
-        exact = _timed(timings, "exact", permanent_ryser, psd.matrix)
+        exact = _timed(timings, "exact", *oracle)
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
         report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
@@ -216,6 +247,11 @@ def _selfcheck_checks() -> list:
     b = permanent_ryser(M).value
     err = abs(a - b) / max(1.0, abs(a))
     add("oracle_agreement", err <= 1e-9, f"relative difference = {err:.2e}")
+
+    # the low-rank oracle on the factor agrees with Ryser on the matrix
+    psd = gen_instance(12, 3, seed=0)
+    err = abs(permanent_lowrank(gram_factor(psd)).log_abs - permanent_ryser(psd.matrix).log_abs)
+    add("lowrank_ryser_agreement", err <= 1e-10, f"|log per difference| = {err:.2e}")
 
     # sandwich on a random Gram instance
     psd = gen_instance(6, 3, seed=0)

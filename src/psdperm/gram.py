@@ -24,6 +24,7 @@ norm.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "gram_factor",
     "unit_rows",
     "exp_or_inf",
+    "check_integer",
 ]
 
 
@@ -310,3 +312,11 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def check_integer(name: str, value, least=None) -> None:
+    """Raise ValueError unless `value` is an integer (not a bool) of at least `least`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")

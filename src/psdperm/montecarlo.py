@@ -24,12 +24,11 @@ for the permanent estimator, 3.9 MB at n = 22, d = 8.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import exp_or_inf, unit_rows
+from .gram import check_integer, exp_or_inf, unit_rows
 
 __all__ = [
     "philox_generator",
@@ -52,10 +51,12 @@ BATCH_SIZE = 1 << 13
 def philox_generator(seed: int) -> np.random.Generator:
     """A fresh Philox-4x64 Generator keyed ``[seed mod 2^64, 0]``.
 
-    Each call replays the same sequence; pass the Generator itself to
-    continue a sequence across calls.
+    `seed` is an integer, not a bool.  Each call replays the same
+    sequence; pass the Generator itself to continue a sequence across
+    calls.
     """
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    check_integer("seed", seed)
+    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -126,12 +127,6 @@ def sample_standard_complex_gaussian(gen: np.random.Generator, d: int,
     return (g[..., 0] + 1j * g[..., 1]) / _SQRT2
 
 
-def _check_samples(samples: int) -> None:
-    """A standard error needs an integer (not a bool) of at least 2 samples."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
-        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
-
-
 def _sample_mean(statistic, d: int, samples: int, seed: int) -> EstimateResult:
     """Mean and standard error of ``statistic`` over `samples` draws of ``Z`` in C^d.
 
@@ -187,14 +182,15 @@ def _row_product_statistic(rows: np.ndarray, batch: int):
 def estimate_permanent(V, samples: int, seed: int) -> EstimateResult:
     """Unbiased Monte Carlo estimate of ``per(A)`` from its ``(n, d)`` Gram factor `V`.
 
-    `samples` is an integer (not a bool) of at least 2.  `V` is checked
-    and read by `gram.unit_rows`.  A zero Gram row makes the permanent
+    `samples` is an integer (not a bool) of at least 2, and `seed` an
+    integer.  `V` is checked and read by `gram.unit_rows`.  A zero Gram row makes the permanent
     exactly zero; that case returns the exact answer without sampling.
     The product runs on the unit rows, so it stays in the float range
     whatever the diagonal's; the mean and the standard error are scaled
     back by ``e^shift = prod_i |v_i|^2``.
     """
-    _check_samples(samples)
+    check_integer("samples", samples, 2)
+    check_integer("seed", seed)
     U, shift = unit_rows(V)
     if U is None:
         return EstimateResult(mean=0.0, std_error=0.0, samples=samples, seed=seed)
@@ -212,6 +208,6 @@ def calibrate_gamma(samples: int, seed: int) -> EstimateResult:
     ``pi^2/6``; this doubles as an end-to-end check of the sampler and
     of the constant used in the lower bound.
     """
-    _check_samples(samples)
+    check_integer("samples", samples, 2)
     # |g|^2 = (g0^2 + g1^2) / 2 for g = (g0 + i g1) / sqrt(2)
     return _sample_mean(lambda g: np.log(np.square(g[:, 0]).sum(axis=1) / 2.0), 1, samples, seed)

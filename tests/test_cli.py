@@ -100,6 +100,65 @@ def test_certify_all_ones_log_factorial(capsys, tmp_path):
     assert rep["log_lower"] - 1e-6 <= rep["log_per_exact"] <= rep["log_upper"] + 1e-6
 
 
+def test_certify_all_ones_past_ryser(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "j30.json", "--n", "30", "--d", "1",
+                    "--ensemble", "all-ones")
+    code, rep = run(capsys, "certify", path)
+    assert code == EXIT_OK
+    assert rep["exact_method"] == "lowrank"
+    assert rep["log_per_exact"] == pytest.approx(math.lgamma(31), abs=1e-10)
+    assert rep["sandwich_ok"] is True
+
+
+def test_certify_all_ones_blocks_past_ryser(capsys, tmp_path):
+    # J_20 (+) J_15: n = 35, rank 2, per = 20! 15!
+    M = np.zeros((35, 35))
+    M[:20, :20] = M[20:, 20:] = 1.0
+    path = tmp_path / "blocks.json"
+    write_instance(InstanceFile(matrix=M), path)
+    code, rep = run(capsys, "certify", str(path))
+    assert code == EXIT_OK
+    assert (rep["n"], rep["d"], rep["exact_method"]) == (35, 2, "lowrank")
+    assert rep["log_per_exact"] == pytest.approx(math.lgamma(21) + math.lgamma(16), abs=1e-10)
+    assert rep["sandwich_ok"] is True
+
+
+@pytest.mark.parametrize("n, d, method", [(22, 5, "lowrank"), (22, 6, "ryser"), (19, 3, "lowrank"),
+                                          (9, 5, "ryser"), (4, 1, "lowrank")])
+def test_certify_picks_the_cheaper_oracle(capsys, tmp_path, n, d, method):
+    # low rank where C(n+d-1, d-1) <= LOWRANK_LIMIT and d times it is below 2^(n-1)
+    path = gen_file(capsys, tmp_path, "g.json", "--n", str(n), "--d", str(d), "--seed", "2")
+    code, rep = run(capsys, "certify", path)
+    assert code == EXIT_OK
+    assert rep["exact_method"] == method
+    assert rep["log_per_exact"] == pytest.approx(permanent_ryser(parse_instance(path).matrix).log_abs,
+                                                 abs=1e-10)
+
+
+def test_certify_zero_diagonal_keeps_ryser(capsys, tmp_path):
+    # the zero Gram row is the claim under test, so the oracle must not read the factor;
+    # past Ryser's reach there is none left (exit 4)
+    code, rep = run(capsys, "certify", zero_diag_file(tmp_path))
+    assert code == EXIT_OK
+    assert rep["exact_method"] == "ryser"
+    M = np.ones((30, 30))
+    M[3, :] = M[:, 3] = 0.0
+    path = tmp_path / "j30z.json"
+    write_instance(InstanceFile(matrix=M), path)
+    code, rep = run(capsys, "certify", str(path))
+    assert code == EXIT_SIZE_GUARD and rep is None
+
+
+def test_certify_validates_before_the_size_guard(capsys, tmp_path):
+    # the guard needs the rank, so an invalid input past n = 22 is invalid (exit 2)
+    M = np.ones((30, 30))
+    M[0, 1] = 2.0
+    path = tmp_path / "bad.json"
+    write_instance(InstanceFile(matrix=M), path)
+    code, rep = run(capsys, "certify", str(path))
+    assert code == EXIT_INVALID_INPUT and rep is None
+
+
 def test_certify_random_instance(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "g.json", "--n", "8", "--d", "4", "--seed", "1")
     code, rep = run(capsys, "certify", path)
@@ -248,8 +307,9 @@ def test_estimate_zero_diagonal(capsys, tmp_path):
 
 
 def test_size_guard_exit_code(capsys, tmp_path):
-    path = gen_file(capsys, tmp_path, "big.json", "--n", "23", "--d", "1",
-                    "--ensemble", "all-ones")
+    # full rank at n = 23: past Ryser, and C(45, 22) terms for the low-rank oracle
+    path = gen_file(capsys, tmp_path, "big.json", "--n", "23", "--d", "23",
+                    "--ensemble", "diagonal")
     code, _ = run(capsys, "certify", path)
     assert code == EXIT_SIZE_GUARD
 
@@ -363,6 +423,7 @@ def test_selfcheck_passes(capsys):
     names = {c["name"] for c in rep["checks"]}
     assert "identity_closed_form" in names
     assert "gamma_calibration" in names
+    assert "lowrank_ryser_agreement" in names
 
 
 def test_repeat_runs_identical(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Exact oracle tests: naive expansion vs Ryser, plus structural identities."""
+"""Exact oracle tests: naive expansion vs Ryser vs low rank, plus structural identities."""
 
 import math
 
@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from psdperm import (
+    LOWRANK_LIMIT,
     NAIVE_LIMIT,
     RYSER_LIMIT,
     NonFiniteError,
     NotSquareError,
     TooLargeError,
     gen_instance,
+    gram_factor,
+    permanent_lowrank,
     permanent_naive,
     permanent_ryser,
 )
+from psdperm.exact import lowrank_size
+
+from helpers import apply_unitary, random_unitary
 
 ORACLES = [permanent_naive, permanent_ryser]
 
@@ -143,3 +149,113 @@ def test_ryser_value_when_the_diagonal_product_overflows_midway():
     want = permanent_ryser(A).value
     assert abs(scaled.value - want) <= 1e-12 * abs(want)
     assert scaled.log_abs == pytest.approx(math.log(abs(want)), abs=1e-12)
+
+
+# ------------------------------------------------------------ low rank
+
+
+LOWRANK_CASES = [(n, d, seed) for n in (1, 2, 5, 9, 14, 19, 22)
+                 for d in range(1, min(n, 5) + 1) for seed in range(3 if n < 22 else 2)]
+
+
+@pytest.mark.parametrize("n, d, seed", LOWRANK_CASES)
+def test_lowrank_agrees_with_ryser(n, d, seed):
+    psd = gen_instance(n, d, seed=seed)
+    got = permanent_lowrank(gram_factor(psd))
+    assert got.log_abs == pytest.approx(permanent_ryser(psd.matrix).log_abs, abs=1e-12)
+    if n < NAIVE_LIMIT or (n == NAIVE_LIMIT and seed == 0):  # naive takes 0.4 s at n = 9
+        assert got.log_abs == pytest.approx(permanent_naive(psd.matrix).log_abs, abs=1e-12)
+
+
+def test_lowrank_result_fields():
+    res = permanent_lowrank(np.ones((3, 1)))
+    assert (res.method, res.n) == ("lowrank", 3)
+    assert res.value == pytest.approx(6.0, rel=1e-14)
+    assert res.log_abs == pytest.approx(math.log(6.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 7, 22, 60, 170])
+def test_lowrank_rank_one_closed_form(n):
+    # per(g g^H) = n! prod |g_i|^2
+    gen = np.random.Generator(np.random.Philox(key=np.array([n, 9], dtype=np.uint64)))
+    g = gen.standard_normal((n, 1)) + 1j * gen.standard_normal((n, 1))
+    want = math.lgamma(n + 1) + float(np.sum(np.log(np.abs(g) ** 2)))
+    assert permanent_lowrank(g).log_abs == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize("blocks, d, seed", [((100, 100), 2, 1), ((1500, 1500), 2, 1),
+                                             ((30, 20, 10), 3, 0), ((14, 14, 14, 14), 4, 2)])
+def test_lowrank_all_ones_blocks_in_a_rotated_gauge(blocks, d, seed):
+    # per(J_a (+) J_b (+) ...) = a! b! ...; in a rotated gauge every
+    # coefficient is a sum with cancellation, and in block order the
+    # later blocks amplify the first block's roundoff (J_100 (+) J_100
+    # read 52 nats high); 1500 + 1500 needs the orthonormal basis
+    V = np.zeros((sum(blocks), d), dtype=complex)
+    start = 0
+    for k, size in enumerate(blocks):
+        V[start : start + size, k] = 1.0
+        start += size
+    want = sum(math.lgamma(size + 1) for size in blocks)
+    got = permanent_lowrank(apply_unitary(V, random_unitary(d, seed=seed))).log_abs
+    assert got == pytest.approx(want, abs=1e-14 * want)
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (22, 5), (40, 3)])
+def test_lowrank_row_scaling_shifts_the_log(n, d):
+    V = np.array(gram_factor(gen_instance(n, d, seed=4)))
+    gen = np.random.Generator(np.random.Philox(key=np.array([n, d], dtype=np.uint64)))
+    a = np.exp(gen.uniform(-3.0, 3.0, n) + 1j * gen.uniform(0.0, 2 * math.pi, n))
+    base = permanent_lowrank(V).log_abs
+    scaled = permanent_lowrank(a[:, None] * V).log_abs
+    assert scaled == pytest.approx(base + float(np.sum(np.log(np.abs(a) ** 2))), abs=1e-11)
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (22, 5), (50, 4)])
+def test_lowrank_unitary_gauge_invariance(n, d):
+    V = gram_factor(gen_instance(n, d, seed=6))
+    base = permanent_lowrank(V).log_abs
+    for seed in range(3):
+        rotated = permanent_lowrank(apply_unitary(V, random_unitary(d, seed=seed))).log_abs
+        assert rotated == pytest.approx(base, abs=1e-12 * max(1.0, abs(base)))
+
+
+def test_lowrank_row_permutation_invariance():
+    V = np.array(gram_factor(gen_instance(22, 4, seed=8)))
+    base = permanent_lowrank(V).log_abs
+    perm = np.random.Generator(np.random.Philox(key=np.array([1, 1], dtype=np.uint64))).permutation(22)
+    assert permanent_lowrank(V[perm]).log_abs == pytest.approx(base, abs=1e-12)
+
+
+def test_lowrank_zero_row_gives_exact_zero():
+    V = np.array(gram_factor(gen_instance(9, 3, seed=1)))
+    V[4] = 0.0
+    res = permanent_lowrank(V)
+    assert res.value == 0.0 + 0.0j
+    assert res.log_abs == float("-inf")
+    # the zero matrix has an (n, 0) factor
+    assert permanent_lowrank(np.zeros((3, 0))).log_abs == float("-inf")
+
+
+def test_lowrank_wide_diagonal_range_stays_finite():
+    # A_ii of 1e+150 and 1e-150: the sum runs on unit rows and adds sum log A_ii back
+    psd = gen_instance(22, 4, seed=3)
+    V = np.array(gram_factor(psd))
+    scale = np.where(np.arange(22) % 2 == 0, 1e75, 1e-75)
+    res = permanent_lowrank(scale[:, None] * V)
+    assert math.isfinite(res.log_abs)
+    want = permanent_ryser(psd.matrix).log_abs + 2.0 * float(np.sum(np.log(scale)))
+    assert res.log_abs == pytest.approx(want, abs=1e-11)
+
+
+def test_lowrank_size_guard():
+    assert lowrank_size(27, 5) <= LOWRANK_LIMIT < lowrank_size(28, 5)
+    permanent_lowrank(np.ones((27, 5)))
+    with pytest.raises(TooLargeError, match=str(LOWRANK_LIMIT)):
+        permanent_lowrank(np.ones((28, 5)))
+
+
+def test_lowrank_rejects_malformed_factors():
+    with pytest.raises(NotSquareError):
+        permanent_lowrank(np.ones(3))
+    with pytest.raises(NonFiniteError):
+        permanent_lowrank(np.array([[1.0, np.nan]]))

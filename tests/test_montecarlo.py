@@ -252,6 +252,28 @@ def test_estimate_accepts_numpy_integer_samples():
     assert res.samples == 1000
 
 
+@pytest.mark.parametrize("seed", [2.5, "3", True])
+def test_rejects_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        philox_generator(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        estimate_permanent([[1.0]], 10, seed)
+    # the zero-row answer needs no draw, and still checks the seed it echoes
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        estimate_permanent([[1.0], [0.0]], 10, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        calibrate_gamma(10, seed)
+
+
+def test_accepts_numpy_integer_seed():
+    res = estimate_permanent([[1.0]], 100, np.int64(7))
+    assert res.seed == 7
+    assert res.mean == estimate_permanent([[1.0]], 100, 7).mean
+    np.testing.assert_array_equal(
+        sample_standard_complex_gaussian(philox_generator(np.uint64(2**64 - 1)), 2, size=3),
+        sample_standard_complex_gaussian(philox_generator(-1), 2, size=3))
+
+
 def test_relative_std_error():
     factor = [[1.0]]
     res = estimate_permanent(factor, 10_000, seed=12)
