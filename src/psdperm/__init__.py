@@ -65,11 +65,9 @@ from .instances import (
 )
 from .montecarlo import (
     EstimateResult,
-    MomentAccumulator,
     calibrate_gamma,
     estimate_permanent,
     philox_generator,
-    sample_standard_complex_gaussian,
 )
 
 __version__ = "0.1.0"
@@ -99,9 +97,7 @@ __all__ = [
     "permanent_lowrank",
     # monte carlo
     "philox_generator",
-    "MomentAccumulator",
     "EstimateResult",
-    "sample_standard_complex_gaussian",
     "estimate_permanent",
     "calibrate_gamma",
     # instances

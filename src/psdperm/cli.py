@@ -4,7 +4,8 @@ Reports are JSON on stdout; logs and errors go to stderr.  Exit codes:
 0 success, 2 invalid input, 3 sandwich violation (a zero claim that
 Ryser refutes included) or failed self-check (either one signals a bug,
 the bound is unconditional), 4 size guard: ``certify`` on an input that
-no exact oracle reaches.
+no exact oracle reaches, signalled by `exact.permanent_exact`'s
+`TooLargeError`: `main`'s handler for it is the one path to exit 4.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import numpy as np
 from . import __version__
 from .bound import GAMMA, SolverOptions, solve
 from .errors import PsdPermError, TooLargeError
-from .exact import (
-    LOWRANK_LIMIT,
-    RYSER_LIMIT,
-    lowrank_size,
-    permanent_lowrank,
-    permanent_naive,
-    permanent_ryser,
-)
+from .exact import permanent_exact, permanent_lowrank, permanent_naive, permanent_ryser
 from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
@@ -130,49 +124,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _exact_oracle(psd):
-    """The exact oracle that ``certify`` runs on `psd`, as ``(function, argument)``, or None.
-
-    The low-rank oracle on the Gram factor where it has at most
-    `LOWRANK_LIMIT` terms and ``d`` times that is below Ryser's ``2^(n-1)``
-    (it then takes a few ms at n = 22, Ryser ~0.08 s); otherwise Ryser on
-    the matrix up to `RYSER_LIMIT`.  A zero diagonal entry keeps Ryser:
-    its zero Gram row is the claim under test, and Ryser never reads the
-    factor.
-    """
-    n, d = psd.n, psd.rank
-    size = lowrank_size(n, d)
-    if not psd.zero_diagonal_indices and size <= LOWRANK_LIMIT and size * d < 2 ** (n - 1):
-        return permanent_lowrank, psd.factor
-    if n <= RYSER_LIMIT:
-        return permanent_ryser, psd.matrix
-    return None
-
-
 def cmd_pipeline(args) -> int:
     """``bound``, ``certify`` and ``estimate``: one validated input, one report.
 
-    ``bound`` and ``certify`` solve, ``certify`` adds an exact oracle
-    (`_exact_oracle`) and the sandwich verdict, and ``estimate`` (or
-    ``certify --mc-samples``) runs Monte Carlo.  A zero diagonal entry
-    forces ``per(A) = 0``: its Gram row is zero, so `solve` returns the
-    ``[-inf, -inf]`` bracket and Monte Carlo an exact 0.  Only Ryser's
-    exact 0 lies in that bracket; any other value refutes the zero claim
-    (exit 3).
+    ``bound`` and ``certify`` solve, ``certify`` adds an exact value
+    (`exact.permanent_exact`) and the sandwich verdict, and ``estimate``
+    (or ``certify --mc-samples``) runs Monte Carlo.  The exact value is
+    taken before the solve, so an input that no oracle reaches costs no
+    solve.  A zero diagonal entry forces ``per(A) = 0``: its Gram row is
+    zero, so `solve` returns the ``[-inf, -inf]`` bracket and Monte Carlo
+    an exact 0.  Only Ryser's exact 0 lies in that bracket; any other
+    value refutes the zero claim (exit 3).
     """
     verb = args.command
     timings: dict = {}
     inst = _timed(timings, "parse", parse_instance, args.input)
     psd = _timed(timings, "validate", validate_hermitian_psd, inst.matrix, args.rank_tol)
-    oracle = _exact_oracle(psd) if verb == "certify" else None
-    if verb == "certify" and oracle is None:
-        _log(f"error: no exact oracle reaches n={psd.n}, d={psd.rank}: Ryser needs "
-             f"n <= {RYSER_LIMIT}, the low-rank oracle C(n+d-1, d-1) <= {LOWRANK_LIMIT} "
-             f"terms (here {lowrank_size(psd.n, psd.rank)}) and no zero diagonal entry")
-        return EXIT_SIZE_GUARD
-
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
     if verb == "certify":
+        exact = _timed(timings, "exact", permanent_exact, psd)
         config["sandwich_slack"] = SANDWICH_SLACK
     report = CertReport(command=verb, n=psd.n, d=psd.rank, gamma=GAMMA,
                         permanent_is_zero=bool(psd.zero_diagonal_indices),
@@ -189,7 +159,6 @@ def cmd_pipeline(args) -> int:
             setattr(report, key, getattr(res, key))
 
     if verb == "certify":
-        exact = _timed(timings, "exact", *oracle)
         report.log_per_exact = exact.log_abs
         report.exact_method = exact.method
         report.sandwich_ok = bool(res.log_lower - SANDWICH_SLACK <= exact.log_abs
@@ -256,10 +225,10 @@ def _selfcheck_checks() -> list:
     # sandwich on a random Gram instance
     psd = gen_instance(6, 3, seed=0)
     res = solve(gram_factor(psd))
-    log_per = permanent_ryser(psd.matrix).log_abs
-    ok = res.log_lower - SANDWICH_SLACK <= log_per <= res.log_upper + SANDWICH_SLACK
+    exact = permanent_exact(psd)
+    ok = res.log_lower - SANDWICH_SLACK <= exact.log_abs <= res.log_upper + SANDWICH_SLACK
     add("sandwich_n6_d3", ok and res.converged,
-        f"interval [{res.log_lower:.6f}, {res.log_upper:.6f}], log_per {log_per:.6f}")
+        f"interval [{res.log_lower:.6f}, {res.log_upper:.6f}], log_per {exact.log_abs:.6f}")
 
     # gamma calibration within 4 standard errors
     est = calibrate_gamma(100_000, seed=0)

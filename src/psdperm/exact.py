@@ -14,6 +14,9 @@ and ``m! = prod_k m_k!`` (Barvinok 1996).  There are
 and the sum has only nonnegative terms.  It covers every input with at
 most `LOWRANK_LIMIT` coefficients, whatever ``n``: at n = 22 it takes
 milliseconds up to d = 5, where Ryser takes ~0.08 s at every d.
+
+`permanent_exact` chooses between them for a validated matrix, and a new
+exact route belongs there; past every oracle it raises `TooLargeError`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError
-from .gram import as_complex_matrix, exp_or_inf, unit_rows
+from .gram import HermitianPSD, as_complex_matrix, exp_or_inf, unit_rows
 
 __all__ = [
     "NAIVE_LIMIT",
@@ -35,6 +38,7 @@ __all__ = [
     "permanent_naive",
     "permanent_ryser",
     "permanent_lowrank",
+    "permanent_exact",
 ]
 
 NAIVE_LIMIT = 9
@@ -303,3 +307,26 @@ def permanent_lowrank(V) -> ExactResult:
         coef, work = work, coef
     log_abs = 2.0 * log_scale + shift
     return ExactResult(value=complex(exp_or_inf(log_abs)), log_abs=log_abs, method="lowrank", n=n)
+
+
+def permanent_exact(psd: HermitianPSD) -> ExactResult:
+    """Exact ``per(A)`` of a validated matrix from the cheaper oracle that reaches it.
+
+    The low-rank oracle on the Gram factor where it has at most
+    `LOWRANK_LIMIT` terms and ``d`` times that is below Ryser's ``2^(n-1)``
+    (it then takes a few ms at n = 22, Ryser ~0.08 s); otherwise Ryser on
+    the matrix up to `RYSER_LIMIT`.  A zero diagonal entry keeps Ryser:
+    its zero Gram row is the claim that ``certify`` tests, and Ryser never
+    reads the factor.  Past both oracles it raises `TooLargeError`, naming
+    both limits.
+    """
+    n, d = psd.n, psd.rank
+    size = lowrank_size(n, d)
+    if not psd.zero_diagonal_indices and size <= LOWRANK_LIMIT and size * d < 2 ** (n - 1):
+        return permanent_lowrank(psd.factor)
+    if n <= RYSER_LIMIT:
+        return permanent_ryser(psd.matrix)
+    raise TooLargeError(
+        f"no exact oracle reaches n={n}, d={d}: Ryser needs n <= {RYSER_LIMIT}, the low-rank "
+        f"oracle C(n+d-1, d-1) <= {LOWRANK_LIMIT} terms (here {size}) and no zero diagonal entry"
+    )

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadRankError, ParseError, SchemaError
-from .gram import HermitianPSD, validate_hermitian_psd
+from .gram import HermitianPSD, check_integer, validate_hermitian_psd
 from .montecarlo import philox_generator, sample_standard_complex_gaussian
 
 __all__ = [
@@ -59,7 +59,12 @@ def gen_instance(
     diagonal
         Random positive diagonal, normalized so the largest entry is 1;
         requires ``d == n``.
+
+    A non-integer `n`, `d` or `seed` raises ValueError, as does an unknown
+    ensemble; ``n`` or ``d`` out of range raises `BadRankError`.
     """
+    for name, value in (("n", n), ("d", d), ("seed", seed)):
+        check_integer(name, value)
     if n < 1:
         raise BadRankError(f"n must be >= 1, got {n}")
     if not 1 <= d <= n:

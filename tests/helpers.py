@@ -10,9 +10,9 @@ from psdperm import (
     gen_instance,
     gram_factor,
     philox_generator,
-    sample_standard_complex_gaussian,
 )
 from psdperm.gram import unit_rows
+from psdperm.montecarlo import sample_standard_complex_gaussian
 
 
 class NotUnitaryError(ValueError):

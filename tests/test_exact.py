@@ -1,6 +1,7 @@
 """Exact oracle tests: naive expansion vs Ryser vs low rank, plus structural identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from psdperm import (
     permanent_lowrank,
     permanent_naive,
     permanent_ryser,
+    validate_hermitian_psd,
 )
-from psdperm.exact import lowrank_size
+from psdperm.exact import lowrank_size, permanent_exact
 
 from helpers import apply_unitary, random_unitary
 
@@ -259,3 +261,44 @@ def test_lowrank_rejects_malformed_factors():
         permanent_lowrank(np.ones(3))
     with pytest.raises(NonFiniteError):
         permanent_lowrank(np.array([[1.0, np.nan]]))
+
+
+# ------------------------------------------------------------ oracle choice
+
+
+@pytest.mark.parametrize("n, d, method", [(22, 5, "lowrank"), (22, 6, "ryser"), (19, 3, "lowrank"),
+                                          (9, 5, "ryser"), (4, 1, "lowrank")])
+def test_exact_picks_the_cheaper_oracle(n, d, method):
+    # low rank where C(n+d-1, d-1) <= LOWRANK_LIMIT and d times it is below 2^(n-1);
+    # the result is the chosen oracle's own, bit for bit
+    psd = gen_instance(n, d, seed=2)
+    res = permanent_exact(psd)
+    assert res.method == method
+    direct = permanent_lowrank(psd.factor) if method == "lowrank" else permanent_ryser(psd.matrix)
+    assert res == direct
+    assert [x.hex() for x in (res.value.real, res.value.imag, res.log_abs)] == \
+        [x.hex() for x in (direct.value.real, direct.value.imag, direct.log_abs)]
+
+
+def test_exact_zero_diagonal_keeps_ryser():
+    # (6, 2) is within the low-rank oracle's reach, but the zero Gram row is the claim
+    # that certify tests, so the oracle must read the matrix
+    M = np.array(gen_instance(6, 2, seed=1).matrix)
+    assert permanent_exact(validate_hermitian_psd(M)).method == "lowrank"
+    M[2, :] = M[:, 2] = 0.0
+    res = permanent_exact(validate_hermitian_psd(M))
+    assert (res.method, res.value, res.log_abs) == ("ryser", 0j, -math.inf)
+
+
+def test_exact_too_large():
+    message = (f"no exact oracle reaches n=23, d=23: Ryser needs n <= {RYSER_LIMIT}, the low-rank "
+               f"oracle C(n+d-1, d-1) <= {LOWRANK_LIMIT} terms (here {lowrank_size(23, 23)}) "
+               "and no zero diagonal entry")
+    with pytest.raises(TooLargeError, match=f"^{re.escape(message)}$"):
+        permanent_exact(gen_instance(23, 23, ensemble="diagonal"))
+    # all-ones n = 30 is within the low-rank oracle's reach, with a zero row it is not
+    assert permanent_exact(gen_instance(30, 1, ensemble="all-ones")).method == "lowrank"
+    M = np.ones((30, 30))
+    M[3, :] = M[:, 3] = 0.0
+    with pytest.raises(TooLargeError, match="zero diagonal entry"):
+        permanent_exact(validate_hermitian_psd(M))

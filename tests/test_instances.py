@@ -72,6 +72,25 @@ def test_gen_rejects_bad_rank():
         gen_instance(4, 2, ensemble="diagonal")
 
 
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((3.0, 2), {}, "n"),
+    ((True, 1), {"ensemble": "all-ones"}, "n"),
+    ((3, 2.0), {}, "d"),
+    ((3, 3), {"seed": "x", "ensemble": "identity"}, "seed"),
+    ((3, 2), {"seed": 1.5}, "seed"),
+])
+def test_gen_rejects_non_integer_arguments(args, kwargs, name):
+    # a ValueError naming the argument, not numpy's TypeError, and on identity too,
+    # where the seed is never drawn from
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        gen_instance(*args, **kwargs)
+
+
+def test_gen_accepts_numpy_integers():
+    a = gen_instance(np.int64(5), np.int32(2), seed=np.uint64(3))
+    assert a.matrix.tobytes() == gen_instance(5, 2, seed=3).matrix.tobytes()
+
+
 def test_gen_rejects_unknown_ensemble():
     with pytest.raises(ValueError):
         gen_instance(4, 2, ensemble="wishart")

@@ -12,17 +12,16 @@ import pytest
 
 from psdperm import (
     GAMMA,
-    MomentAccumulator,
     calibrate_gamma,
     estimate_permanent,
     gen_instance,
     gram_factor,
     permanent_ryser,
     philox_generator,
-    sample_standard_complex_gaussian,
     validate_hermitian_psd,
 )
 from psdperm import montecarlo
+from psdperm.montecarlo import MomentAccumulator, sample_standard_complex_gaussian
 
 
 # ---------------------------------------------------------------- generator
