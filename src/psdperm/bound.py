@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ZeroRowError
+from .errors import NotPositiveDefiniteError, NotSquareError, ZeroRowError
 from .gram import (
     _symmetrize,
     check_integer,
@@ -216,6 +216,11 @@ def _at_point(V, point) -> tuple:
             "the permanent is exactly zero (see solve)"
         )
     X = point.matrix
+    if X.shape[0] != U.shape[1]:
+        raise NotSquareError(
+            f"point of shape {X.shape} does not match the Gram factor of shape {U.shape}: "
+            f"it must be {U.shape[1]} x {U.shape[1]}"
+        )
     _, _, G, phi = _evaluate(U, X, np.linalg.cholesky(X))
     return G, phi + shift
 
@@ -392,6 +397,21 @@ class _DualOracle:
         return it.f
 
 
+def _newton_problem(U: np.ndarray, X0: np.ndarray, dual: bool | None = None) -> tuple:
+    """The problem `solve` runs on the unit rows `U`, and its start point from ``X0``.
+
+    Returns ``(oracle, z0)`` for `_newton`: the dual from `_dual_start`
+    when ``n < d^2``, and the primal from ``X0`` otherwise; `dual` set to
+    True or False forces one of them.
+    """
+    if dual is None:
+        n, d = U.shape
+        dual = n < d * d
+    if dual:
+        return _DualOracle(U), _dual_start(U, X0)
+    return _PrimalOracle(U), X0
+
+
 def _newton(oracle, z: np.ndarray, opts: SolverOptions) -> tuple:
     """Damped Newton minimization of the oracle's convex function from feasible `z`.
 
@@ -482,11 +502,7 @@ def solve(V, options: SolverOptions | None = None) -> BoundResult:
                            trace_residual=0.0, log_lower=-math.inf, log_upper=-math.inf,
                            duality_gap=0.0, converged=True, status="zero_diagonal", n=n, d=d)
 
-    X0 = ((n + d) / d) * np.eye(d, dtype=complex)
-    if n < d * d:
-        oracle, z0 = _DualOracle(U), _dual_start(U, X0)
-    else:
-        oracle, z0 = _PrimalOracle(U), X0
+    oracle, z0 = _newton_problem(U, ((n + d) / d) * np.eye(d, dtype=complex))
     best, iterations, status = _newton(oracle, z0, opts)
 
     X, phi = best.x, shift + best.phi

@@ -23,7 +23,7 @@ from . import __version__
 from .bound import GAMMA, SolverOptions, solve
 from .errors import PsdPermError, TooLargeError
 from .exact import permanent_exact, permanent_lowrank, permanent_naive, permanent_ryser
-from .gram import RANK_TOL, gram_factor, validate_hermitian_psd
+from .gram import gram_factor, validate_hermitian_psd
 from .instances import (
     ENSEMBLES,
     InstanceFile,
@@ -32,7 +32,7 @@ from .instances import (
     parse_instance,
     write_instance,
 )
-from .montecarlo import calibrate_gamma, estimate_permanent
+from .montecarlo import calibrate_gamma, estimate_permanent, philox_generator
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -87,7 +87,7 @@ BOUND_FIELDS = ("d", "phi", "log_lower", "log_upper", "duality_gap", "iterations
                 "grad_norm", "trace_residual", "converged", "status")
 
 #: arguments recorded in a report's `config`, those the verb has
-CONFIG_KEYS = ("input", "rank_tol", "max_iters", "mc_samples", "seed")
+CONFIG_KEYS = ("input", "max_iters", "mc_samples", "seed")
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -139,7 +139,7 @@ def cmd_pipeline(args) -> int:
     verb = args.command
     timings: dict = {}
     inst = _timed(timings, "parse", parse_instance, args.input)
-    psd = _timed(timings, "validate", validate_hermitian_psd, inst.matrix, args.rank_tol)
+    psd = _timed(timings, "validate", validate_hermitian_psd, inst.matrix)
     config = {k: getattr(args, k) for k in CONFIG_KEYS if hasattr(args, k)}
     if verb == "certify":
         exact = _timed(timings, "exact", permanent_exact, psd)
@@ -210,7 +210,7 @@ def _selfcheck_checks() -> list:
     add("all_ones_closed_form", worst <= 1e-8, f"max |phi - target| = {worst:.2e}")
 
     # the two exact oracles agree on a random complex matrix
-    gen = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    gen = philox_generator(7)
     M = gen.standard_normal((5, 5)) + 1j * gen.standard_normal((5, 5))
     a = permanent_naive(M).value
     b = permanent_ryser(M).value
@@ -279,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_io(p):
         p.add_argument("input", help="instance JSON file")
-        p.add_argument("--rank-tol", type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-                       default=RANK_TOL,
-                       help="numerical rank cutoff: pivoted Cholesky of the unit-diagonal "
-                            "matrix stops when no remaining pivot exceeds it")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     def solver_flags(p):

@@ -8,7 +8,12 @@ class PsdPermError(Exception):
 
 
 class NotSquareError(PsdPermError):
-    """Input matrix is not a square 2-D array, or a Gram factor not a 2-D one."""
+    """An input of the wrong shape.
+
+    A matrix that is not a square 2-D array, a Gram factor that is not a
+    2-D one, or a point of the objective that is not ``d x d`` for a
+    factor with ``d`` columns.
+    """
 
 
 class NonFiniteError(PsdPermError):

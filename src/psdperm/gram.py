@@ -10,10 +10,11 @@ Validation and factorization are one pass.  ``A`` is scaled to the unit
 diagonal matrix ``C = D^{-1/2} A D^{-1/2}``, ``D = diag(A)``, which moves
 ``log per`` and ``Phi`` by the same ``sum log a_ii``.  Diagonally pivoted
 Cholesky (Higham 1990) factors ``C ~ L L^dagger`` in ``O(n d^2)``, taking
-the first largest remaining pivot until none exceeds ``rank_tol``, and
+the first largest remaining pivot until none exceeds `RANK_TOL`, and
 ``V = D^{1/2} L``.  The remainder ``C - L L^dagger`` is then checked, in
-``O(n^2 d)``.  Every tolerance is relative to the input's own scale, and
-identical input bytes always produce an identical factor.
+``O(n^2 d)``.  Validation takes no settings: the rank is a property of
+the input, every tolerance is a module constant relative to the input's
+own scale, and identical input bytes always produce an identical factor.
 
 The factor is a plain ``(n, d)`` array, and `unit_rows` is the one
 reader of a factor that a caller passes to the solver or the sampler:
@@ -59,8 +60,8 @@ HERM_TOL = 1e-10
 #: of the unit-diagonal matrix below ``-PSD_TOL``, rejects the matrix as
 #: not positive semidefinite.
 PSD_TOL = 1e-9
-#: Default of `validate_hermitian_psd`'s ``rank_tol``: pivoted Cholesky of
-#: the unit-diagonal matrix stops when no remaining pivot exceeds it.
+#: The numerical rank cutoff: pivoted Cholesky of the unit-diagonal
+#: matrix stops when no remaining pivot exceeds it.
 RANK_TOL = 1e-10
 #: Frobenius norm of the remainder ``C - L L^dagger`` allowed, relative
 #: to that of the unit-diagonal matrix ``C``.
@@ -111,7 +112,7 @@ class HermitianPSD:
 
     @property
     def rank(self) -> int:
-        """Number of pivots above the rank cutoff."""
+        """Number of pivots above the rank cutoff `RANK_TOL`."""
         return self.factor.shape[1]
 
     @property
@@ -169,16 +170,15 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
     return H
 
 
-def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
+def validate_hermitian_psd(matrix) -> HermitianPSD:
     """Validate a matrix as Hermitian PSD and compute its Gram factor.
 
     Parameters
     ----------
     matrix : array_like
-        Square complex matrix, ``n >= 1``.
-    rank_tol : float, optional
-        Pivoted Cholesky of the unit-diagonal matrix stops when no
-        remaining pivot exceeds ``rank_tol``; must lie in ``[0, 1)``.
+        Square complex matrix, ``n >= 1``.  Pivoted Cholesky of its
+        unit-diagonal matrix stops when no remaining pivot exceeds
+        `RANK_TOL`.
 
     Returns
     -------
@@ -188,8 +188,6 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
 
     Raises
     ------
-    ValueError
-        If `rank_tol` is negative, not finite, or at least 1.
     NotSquareError, NonFiniteError, NotHermitianError
     NotPSDError
         If a diagonal entry is below ``-PSD_TOL * max_j A_jj``, a
@@ -200,8 +198,6 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
         If ``||S||_F`` exceeds ``RECON_TOL * ||C||_F``; the message says
         where the rank cutoff stopped.  NaN fails every check.
     """
-    if not 0.0 <= rank_tol < 1.0:
-        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
     A = hermitian_part(matrix)
     n = A.shape[0]
     diag = A.diagonal().real
@@ -221,7 +217,7 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
     Lt = np.empty((n, n), dtype=complex)  # row k is column k of L; unused rows stay untouched
     for k in range(n + 1):
         p = r.argmax()
-        if not r[p] > rank_tol:
+        if not r[p] > RANK_TOL:
             break
         col = Lt[k]
         np.conjugate(C[p], out=col)  # column p of the Hermitian C
@@ -245,11 +241,7 @@ def validate_hermitian_psd(matrix, rank_tol: float = RANK_TOL) -> HermitianPSD:
             "which no PSD remainder does"
         )
     if not err <= RECON_TOL * norm:
-        cutoff = (
-            f"; the rank cutoff stopped after {k} of {n} pivots, "
-            "and a smaller rank_tol (--rank-tol) keeps more"
-            if k < n else ""
-        )
+        cutoff = f"; the rank cutoff stopped after {k} of {n} pivots" if k < n else ""
         raise ReconstructionError(
             f"||C - L L^H||_F = {err:.3e} exceeds {RECON_TOL:.1e} * ||C||_F = {norm:.3e}{cutoff}"
         )

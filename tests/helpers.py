@@ -80,8 +80,5 @@ def newton_from_identity(factor: np.ndarray):
     ``gram.unit_rows`` shift.
     """
     V = unit_rows(factor)[0]
-    n, d = V.shape
-    X0 = np.eye(d, dtype=complex)
-    if n < d * d:
-        return bound._newton(bound._DualOracle(V), bound._dual_start(V, X0), SolverOptions())
-    return bound._newton(bound._PrimalOracle(V), X0, SolverOptions())
+    oracle, z0 = bound._newton_problem(V, np.eye(V.shape[1], dtype=complex))
+    return bound._newton(oracle, z0, SolverOptions())

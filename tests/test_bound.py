@@ -121,6 +121,16 @@ def test_bad_factor_raises_at_every_entry_point(entry, V, error):
         ENTRY_POINTS[entry](V)
 
 
+@pytest.mark.parametrize("entry", [objective, gradient])
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("wrap", [np.asarray, PDPoint.from_matrix], ids=["raw", "pdpoint"])
+def test_point_of_the_wrong_size_raises(entry, size, wrap):
+    # a (6, 3) factor needs a 3 x 3 point; the error names both shapes
+    factor = random_factor(6, 3, seed=0)
+    with pytest.raises(NotSquareError, match=rf"\({size}, {size}\).*\(6, 3\)"):
+        entry(factor, wrap(np.eye(size)))
+
+
 # ----------------------------------------------------------------- gradient
 
 
@@ -210,13 +220,17 @@ def test_solve_iteration_budget():
     assert full.phi >= res.phi - 1e-12
 
 
-def _run_oracle(oracle_cls, factor):
-    # on the unit rows, as solve runs it
+def _start(factor, dual=None):
+    # solve's problem and start point on the unit rows, or the one `dual` forces
     V = unit_rows(factor)[0]
     n, d = V.shape
-    X0 = ((n + d) / d) * np.eye(d, dtype=complex)
-    z0 = bound._dual_start(V, X0) if oracle_cls is bound._DualOracle else X0
-    return bound._newton(oracle_cls(V), z0, SolverOptions())
+    return bound._newton_problem(V, ((n + d) / d) * np.eye(d, dtype=complex), dual)
+
+
+def _run_oracle(oracle_cls, factor):
+    oracle, z0 = _start(factor, dual=oracle_cls is bound._DualOracle)
+    assert type(oracle) is oracle_cls
+    return bound._newton(oracle, z0, SolverOptions())
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (8, 3), (9, 3), (12, 3), (15, 4), (16, 4), (30, 4)])
@@ -233,6 +247,7 @@ def test_primal_and_dual_oracles_agree(n, d):
     # the public gradient at x_star
     res = solve(factor)
     chosen = bound._DualOracle if n < d * d else bound._PrimalOracle
+    assert type(_start(factor)[0]) is chosen
     assert res.phi == unit_rows(factor)[1] + phis[chosen]
     assert float(np.linalg.norm(gradient(factor, res.x_star))) == res.grad_norm
 

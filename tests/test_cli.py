@@ -17,6 +17,7 @@ from psdperm import (
     permanent_ryser,
     write_instance,
 )
+from psdperm import gram
 from psdperm.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -354,7 +355,8 @@ def test_malformed_file_is_one_error_line(capsys, tmp_path, data):
 
 @pytest.mark.parametrize("argv", [
     ("bound", "--max-iters", "0"),
-    # no --grad-tol flag exists (the tolerance is bound.GRAD_TOL): argparse rejects it
+    # no --grad-tol or --rank-tol flag exists (the tolerances are the
+    # constants bound.GRAD_TOL and gram.RANK_TOL): argparse rejects them
     ("bound", "--grad-tol", "0"),
     ("bound", "--grad-tol", "nan"),
     ("bound", "--grad-tol", "inf"),
@@ -380,7 +382,7 @@ def test_out_of_range_flag_exits_two(capsys, tmp_path, argv):
 
 def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
     path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
-    for argv in (("bound", "--max-iters", "1", "--rank-tol", "0"),
+    for argv in (("bound", "--max-iters", "1"),
                  ("certify", "--mc-samples", "0"), ("certify", "--mc-samples", "2"),
                  ("estimate", "--mc-samples", "2")):
         code, rep = run(capsys, argv[0], path, *argv[1:])
@@ -388,20 +390,21 @@ def test_out_of_range_flag_bounds_are_accepted(capsys, tmp_path):
         assert rep["command"] == argv[0]
 
 
-def test_rank_cutoff_that_breaks_the_factor_is_named(capsys, tmp_path):
-    # --rank-tol 0.5 stops before real pivots, so the truncated factor fails
+def test_rank_cutoff_that_breaks_the_factor_is_named(capsys, tmp_path, monkeypatch):
+    # a cutoff of 0.5 stops before real pivots, so the truncated factor fails
     # the reconstruction check; the error names the cutoff as the cause
     path = gen_file(capsys, tmp_path, "f.json", "--n", "6", "--d", "3", "--seed", "1")
-    assert main(["bound", path, "--rank-tol", "0.5"]) == EXIT_INVALID_INPUT
+    with monkeypatch.context() as m:
+        m.setattr(gram, "RANK_TOL", 0.5)
+        assert main(["bound", path]) == EXIT_INVALID_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ||C - L L^H||_F"), err
     assert "rank cutoff stopped after 2 of 6 pivots" in err
-    assert "--rank-tol" in err
     assert "Traceback" not in err
-    code, rep = run(capsys, "bound", path, "--rank-tol", "0.01")
+    code, rep = run(capsys, "bound", path)
     assert code == EXIT_OK and rep["d"] == 3
 
 
